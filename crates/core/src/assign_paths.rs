@@ -153,6 +153,13 @@ pub struct AssignPathsOutcome {
     pub baseline_peak: f64,
     /// Restarts actually performed.
     pub restarts: usize,
+    /// Reroute trials evaluated (one per alternative path tried on a
+    /// message crossing the peak) — with `link_recomputes`, the
+    /// heuristic's deterministic work counters.
+    pub trials: u64,
+    /// Per-link utilization recomputations performed by the climbs'
+    /// incremental evaluators, their initial builds included.
+    pub link_recomputes: u64,
 }
 
 /// The `AssignPaths` heuristic (paper Fig. 4): minimize the peak link/spot
@@ -210,8 +217,8 @@ pub fn assign_paths_pooled(
     let baseline = PathAssignment::lsd_to_msd(tfg, topo, alloc);
     let baseline_effective = compute(&baseline).effective_peak();
 
-    let (best, restarts) = hill_climb(
-        baseline,
+    let climb = hill_climb(
+        &baseline,
         baseline_effective,
         &candidates,
         topo,
@@ -222,12 +229,15 @@ pub fn assign_paths_pooled(
         &mut rng,
     );
 
+    let best = climb.best.unwrap_or(baseline);
     let utilization = compute(&best);
     AssignPathsOutcome {
         assignment: best,
         utilization,
         baseline_peak: baseline_effective,
-        restarts,
+        restarts: climb.restarts,
+        trials: climb.trials,
+        link_recomputes: climb.link_recomputes,
     }
 }
 
@@ -265,32 +275,24 @@ pub fn assign_paths_partial(
     let compute =
         |pa: &PathAssignment| UtilizationMap::compute(pa, bounds, activity, intervals, num_links);
 
-    let is_affected: Vec<bool> = {
-        let mut v = vec![false; base.len()];
-        for &m in affected {
-            v[m.index()] = true;
-        }
-        v
-    };
-    let owned: Vec<Vec<Path>> = (0..base.len())
-        .map(|i| {
-            let m = MessageId(i);
+    let rerouted: Vec<Vec<Path>> = affected
+        .iter()
+        .map(|&m| {
             let p = base.path(m);
-            if is_affected[i] {
-                let alts = topo.shortest_paths(p.source(), p.destination(), config.path_cap);
-                assert!(
-                    !alts.is_empty(),
-                    "affected message {m} has no surviving route {} -> {}",
-                    p.source(),
-                    p.destination()
-                );
-                alts
-            } else {
-                vec![p.clone()]
-            }
+            let alts = topo.shortest_paths(p.source(), p.destination(), config.path_cap);
+            assert!(
+                !alts.is_empty(),
+                "affected message {m} has no surviving route {} -> {}",
+                p.source(),
+                p.destination()
+            );
+            alts
         })
         .collect();
-    let candidates: Vec<&[Path]> = owned.iter().map(Vec::as_slice).collect();
+    let mut candidates: Vec<&[Path]> = base.paths().iter().map(std::slice::from_ref).collect();
+    for (&m, alts) in affected.iter().zip(&rerouted) {
+        candidates[m.index()] = alts;
+    }
 
     let mut start = base.clone();
     for &m in affected {
@@ -298,8 +300,8 @@ pub fn assign_paths_partial(
     }
     let start_peak = compute(&start).effective_peak();
 
-    let (best, restarts) = hill_climb(
-        start,
+    let climb = hill_climb(
+        &start,
         start_peak,
         &candidates,
         topo,
@@ -310,12 +312,15 @@ pub fn assign_paths_partial(
         &mut rng,
     );
 
+    let best = climb.best.unwrap_or(start);
     let utilization = compute(&best);
     AssignPathsOutcome {
         assignment: best,
         utilization,
         baseline_peak: start_peak,
-        restarts,
+        restarts: climb.restarts,
+        trials: climb.trials,
+        link_recomputes: climb.link_recomputes,
     }
 }
 
@@ -479,27 +484,30 @@ pub fn assign_paths_partitioned(
         // Part-local problem: this part's interior messages keep their
         // in-part candidates, everything else is frozen at baseline (the
         // frozen load is exactly what the other parts see too).
-        let owned: Vec<Vec<Path>> = (0..candidates.len())
-            .map(|i| {
-                if home[i] == Some(pid) {
-                    candidates[i]
-                        .iter()
-                        .filter(|p| in_part(p, pid))
-                        .cloned()
-                        .collect()
-                } else {
-                    vec![baseline.path(MessageId(i)).clone()]
-                }
+        let members: Vec<usize> = (0..candidates.len())
+            .filter(|&i| home[i] == Some(pid))
+            .collect();
+        let interior: Vec<Vec<Path>> = members
+            .iter()
+            .map(|&i| {
+                candidates[i]
+                    .iter()
+                    .filter(|p| in_part(p, pid))
+                    .cloned()
+                    .collect()
             })
             .collect();
-        let cand: Vec<&[Path]> = owned.iter().map(Vec::as_slice).collect();
+        let mut cand: Vec<&[Path]> = baseline.paths().iter().map(std::slice::from_ref).collect();
+        for (&i, alts) in members.iter().zip(&interior) {
+            cand[i] = alts;
+        }
         let mut rng = StdRng::seed_from_u64(
             config
                 .seed
                 .wrapping_add((pid as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
         );
         hill_climb(
-            baseline.clone(),
+            &baseline,
             baseline_effective,
             &cand,
             topo,
@@ -511,13 +519,19 @@ pub fn assign_paths_partitioned(
         )
     });
 
-    // Merge: each part contributes the paths of its own interior messages.
-    // Parts only reroute onto links they own, so no link ends up above the
-    // load its owning part accepted.
+    // Merge: each part contributes the paths of its own interior messages
+    // (a part that found nothing better than the baseline contributes
+    // none). Parts only reroute onto links they own, so no link ends up
+    // above the load its owning part accepted.
     let mut merged = baseline.clone();
     let mut restarts = 0;
-    for (&pid, (part_best, part_restarts)) in part_ids.iter().zip(optimized) {
-        restarts += part_restarts;
+    let mut trials = 0;
+    let mut link_recomputes = 0;
+    for (&pid, part) in part_ids.iter().zip(optimized) {
+        restarts += part.restarts;
+        trials += part.trials;
+        link_recomputes += part.link_recomputes;
+        let Some(part_best) = part.best else { continue };
         for (i, h) in home.iter().enumerate() {
             if *h == Some(pid) {
                 let m = MessageId(i);
@@ -537,19 +551,19 @@ pub fn assign_paths_partitioned(
     // Boundary stitch: only messages without a home part may move, now
     // with their full candidate sets; every interior message is frozen at
     // its merged path.
-    let owned: Vec<Vec<Path>> = (0..candidates.len())
-        .map(|i| {
-            if home[i].is_none() {
-                candidates[i].to_vec()
-            } else {
-                vec![stitch_start.path(MessageId(i)).clone()]
-            }
-        })
+    let mut cand: Vec<&[Path]> = stitch_start
+        .paths()
+        .iter()
+        .map(std::slice::from_ref)
         .collect();
-    let cand: Vec<&[Path]> = owned.iter().map(Vec::as_slice).collect();
+    for (i, alts) in candidates.iter().enumerate() {
+        if home[i].is_none() {
+            cand[i] = alts;
+        }
+    }
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let (best, stitch_restarts) = hill_climb(
-        stitch_start,
+    let stitch = hill_climb(
+        &stitch_start,
         stitch_peak,
         &cand,
         topo,
@@ -560,22 +574,39 @@ pub fn assign_paths_partitioned(
         &mut rng,
     );
 
+    let best = stitch.best.unwrap_or(stitch_start);
     let utilization = compute(&best);
     AssignPathsOutcome {
         assignment: best,
         utilization,
         baseline_peak: baseline_effective,
-        restarts: restarts + stitch_restarts,
+        restarts: restarts + stitch.restarts,
+        trials: trials + stitch.trials,
+        link_recomputes: link_recomputes + stitch.link_recomputes,
     }
 }
 
-/// The restart loop shared by [`assign_paths_pooled`] and
-/// [`assign_paths_partial`]: polish `start` with [`improve`], then explore
-/// random restarts over `candidates`, keeping the best peak seen. Returns
-/// `(best assignment, restarts performed)`.
+/// What one [`hill_climb`] found and what it cost.
+struct Climb {
+    /// The best assignment seen, or `None` when nothing beat the start.
+    best: Option<PathAssignment>,
+    restarts: usize,
+    trials: u64,
+    link_recomputes: u64,
+}
+
+/// The restart loop shared by [`assign_paths_pooled`],
+/// [`assign_paths_partial`] and [`assign_paths_partitioned`]: polish `start`
+/// with [`improve`], then explore random restarts over `candidates`,
+/// keeping the best peak seen.
+///
+/// One [`UtilEval`] serves the whole climb: `improve` runs its trials
+/// against it, the converged peak is read from it, and a restart moves it
+/// to the freshly drawn assignment by rerouting only the messages whose
+/// draw differs from their current path.
 #[allow(clippy::too_many_arguments)]
 fn hill_climb(
-    start: PathAssignment,
+    start: &PathAssignment,
     start_peak: f64,
     candidates: &[&[Path]],
     topo: &dyn Topology,
@@ -584,11 +615,7 @@ fn hill_climb(
     activity: &ActivityMatrix,
     config: &AssignPathsConfig,
     rng: &mut StdRng,
-) -> (PathAssignment, usize) {
-    let num_links = topo.num_links();
-    let compute =
-        |pa: &PathAssignment| UtilizationMap::compute(pa, bounds, activity, intervals, num_links);
-
+) -> Climb {
     // A peak below this is impossible: each message needs at least
     // duration/active-time of whichever links it ends up on.
     let lower_bound = (0..candidates.len())
@@ -606,93 +633,97 @@ fn hill_climb(
 
     // Start from the deterministic start point (so we can never end up
     // worse), then explore random restarts.
-    let mut best = start.clone();
+    let mut best = None;
     let mut best_peak = start_peak;
     let mut restarts = 0;
+    let mut trials = 0;
 
-    let mut current = start;
+    let mut current = start.clone();
+    let mut eval = UtilEval::new(&current, bounds, activity, intervals, topo.num_links());
     loop {
-        improve(
-            &mut current,
-            candidates,
-            topo,
-            bounds,
-            intervals,
-            activity,
-            config.max_inner,
+        trials += improve(&mut current, &mut eval, candidates, topo, config.max_inner);
+        let peak = eval.effective_peak();
+        debug_assert_eq!(
+            peak.to_bits(),
+            UtilizationMap::compute(&current, bounds, activity, intervals, topo.num_links())
+                .effective_peak()
+                .to_bits(),
+            "incremental evaluator drifted from a full recomputation"
         );
-        let peak = compute(&current).effective_peak();
         if peak < best_peak - EPS {
-            best = current.clone();
+            best = Some(current.clone());
             best_peak = peak;
         }
         restarts += 1;
         if restarts >= config.max_restarts.max(1) || best_peak <= lower_bound + EPS {
             break;
         }
-        current = random_assignment(candidates, topo, rng);
+        // One draw per message, in message order, whether or not it can
+        // move — the RNG stream is part of the heuristic's identity.
+        let redrawn: Vec<(MessageId, Path)> = candidates
+            .iter()
+            .enumerate()
+            .filter_map(|(i, alts)| {
+                let drawn = &alts[rng.gen_range(0..alts.len())];
+                let m = MessageId(i);
+                (drawn != current.path(m)).then(|| (m, drawn.clone()))
+            })
+            .collect();
+        eval.set_paths(&mut current, redrawn, topo);
     }
 
-    (best, restarts)
-}
-
-fn random_assignment(
-    candidates: &[&[Path]],
-    topo: &dyn Topology,
-    rng: &mut StdRng,
-) -> PathAssignment {
-    let paths = candidates
-        .iter()
-        .map(|alts| alts[rng.gen_range(0..alts.len())].clone())
-        .collect();
-    PathAssignment::new(paths, topo)
+    Climb {
+        best,
+        restarts,
+        trials,
+        link_recomputes: eval.link_recomputes(),
+    }
 }
 
 /// The inner do-while of Fig. 4: repeatedly attack the peak with the best
 /// reducing reroute, falling back to peak-repositioning reroutes, until no
-/// reroute changes anything (or the step cap is hit).
+/// reroute changes anything (or the step cap is hit). Returns the number of
+/// reroute trials evaluated.
 ///
-/// Trials run against an incrementally maintained [`UtilEval`] — apply the
-/// candidate path, read the peak, apply the original path back — instead of
-/// cloning the assignment and recomputing every link per trial. The
-/// evaluator's figures are bitwise identical to a full
+/// Trials run against the climb's incrementally maintained [`UtilEval`] —
+/// apply the candidate path, read the peak, apply the original path back —
+/// instead of cloning the assignment and recomputing every link per trial.
+/// The evaluator's figures are bitwise identical to a full
 /// [`UtilizationMap::compute`], so every accept/reposition decision (and
 /// hence the heuristic's output) is unchanged.
-#[allow(clippy::too_many_arguments)]
 fn improve(
     current: &mut PathAssignment,
+    eval: &mut UtilEval<'_>,
     candidates: &[&[Path]],
     topo: &dyn Topology,
-    bounds: &TimeBounds,
-    intervals: &Intervals,
-    activity: &ActivityMatrix,
     max_inner: usize,
-) {
-    let mut eval = UtilEval::new(current, bounds, activity, intervals, topo.num_links());
+) -> u64 {
+    let mut trials = 0;
     let mut seen_positions: Vec<(u64, Option<Hotspot>)> = Vec::new();
     for _ in 0..max_inner {
         let peak = eval.effective_peak();
         if peak <= EPS {
-            return; // nothing on the network
+            break; // nothing on the network
         }
         let Some(location) = eval.effective_location() else {
-            return;
+            break;
         };
         // Cycle guard for reposition-only progress.
         let key = (peak.to_bits(), Some(location));
         if seen_positions.contains(&key) {
-            return;
+            break;
         }
         seen_positions.push(key);
 
         // Messages crossing the peak link (restricted to the hot interval
         // for a spot peak).
-        let reroutable: Vec<MessageId> = match location {
-            Hotspot::Link(l) | Hotspot::Spot(l, _) | Hotspot::Group(l) => current.messages_on(l),
-        }
-        .into_iter()
-        .filter(|&m| candidates[m.index()].len() > 1)
-        .collect();
+        let (Hotspot::Link(l) | Hotspot::Spot(l, _) | Hotspot::Group(l)) = location;
+        let reroutable: Vec<MessageId> = eval
+            .messages_on(l)
+            .iter()
+            .filter(|&&i| candidates[i].len() > 1)
+            .map(|&i| MessageId(i))
+            .collect();
 
         let mut best_reduce: Option<(MessageId, usize, f64)> = None;
         let mut reposition: Option<(MessageId, usize)> = None;
@@ -708,6 +739,7 @@ fn improve(
                 // alt_i+1 over alt_i equals undo-then-apply, at half the
                 // link recomputations.
                 eval.set_path(current, m, alt.clone(), topo);
+                trials += 1;
                 moved = true;
                 let tp = eval.effective_peak();
                 if tp < peak - EPS {
@@ -733,9 +765,10 @@ fn improve(
             let p = candidates[m.index()][pi].clone();
             eval.set_path(current, m, p, topo);
         } else {
-            return; // converged: no reroute changes the peak at all
+            break; // converged: no reroute changes the peak at all
         }
     }
+    trials
 }
 
 #[cfg(test)]

@@ -477,11 +477,35 @@ fn compile_inner(
 
 /// One seed's path-assignment stage: either the assignment is viable
 /// (peak utilization within capacity) or the seed fails outright. Either
-/// way the heuristic's restart count rides along so the deterministic walk
-/// — not the (possibly parallel) evaluation — reports it.
+/// way the heuristic's work counters ride along so the deterministic walk
+/// — not the (possibly parallel) evaluation — reports them.
 enum SeedOutcome {
     Viable(SeedEval),
-    Utilization { err: CompileError, restarts: u64 },
+    Utilization { err: CompileError, work: ClimbWork },
+}
+
+/// The `assign_paths.*` work counters of one seed's heuristic run.
+#[derive(Clone, Copy)]
+struct ClimbWork {
+    restarts: u64,
+    trials: u64,
+    link_recomputes: u64,
+}
+
+impl ClimbWork {
+    fn of(outcome: &crate::AssignPathsOutcome) -> Self {
+        ClimbWork {
+            restarts: outcome.restarts as u64,
+            trials: outcome.trials,
+            link_recomputes: outcome.link_recomputes,
+        }
+    }
+
+    fn report(&self, rec: &dyn Recorder) {
+        rec.add("assign_paths.restarts", self.restarts);
+        rec.add("assign_paths.trials", self.trials);
+        rec.add("assign_paths.link_recomputes", self.link_recomputes);
+    }
 }
 
 /// The artifacts every `(seed, scale)` candidate of one seed shares.
@@ -490,7 +514,7 @@ struct SeedEval {
     baseline_peak: f64,
     assignment: PathAssignment,
     subsets: Vec<Vec<MessageId>>,
-    restarts: u64,
+    work: ClimbWork,
 }
 
 /// One `(seed, scale)` candidate's allocate-then-schedule stage.
@@ -636,16 +660,16 @@ impl SearchCtx<'_> {
             // other seeds are still tried, keeping the first report.
             return SeedOutcome::Utilization {
                 err: CompileError::UtilizationExceeded { utilization: peak },
-                restarts: outcome.restarts as u64,
+                work: ClimbWork::of(&outcome),
             };
         }
         let subsets = related_subsets(&outcome.assignment, self.activity);
         SeedOutcome::Viable(SeedEval {
             peak,
             baseline_peak: outcome.baseline_peak,
+            work: ClimbWork::of(&outcome),
             assignment: outcome.assignment,
             subsets,
-            restarts: outcome.restarts as u64,
         })
     }
 
@@ -909,8 +933,8 @@ impl SearchCtx<'_> {
             rec.add("search.seeds_walked", 1);
             let ev = match seed_result.seed_out {
                 SeedOutcome::Viable(ev) => ev,
-                SeedOutcome::Utilization { err, restarts } => {
-                    rec.add("assign_paths.restarts", restarts);
+                SeedOutcome::Utilization { err, work } => {
+                    work.report(rec);
                     rec.add("search.outcome.utilization_exceeded", 1);
                     self.record_candidate(
                         sidx,
@@ -922,7 +946,7 @@ impl SearchCtx<'_> {
                     continue;
                 }
             };
-            rec.add("assign_paths.restarts", ev.restarts);
+            ev.work.report(rec);
             // A speculative ladder may have been truncated by the rank
             // watermark. The walk only reaches such a seed when every
             // lower-ranked candidate failed — in which case the watermark

@@ -158,6 +158,11 @@ impl ActivityMatrix {
         self.active.len()
     }
 
+    /// Number of interval columns (0 when there are no messages).
+    pub fn num_intervals(&self) -> usize {
+        self.active.first().map_or(0, Vec::len)
+    }
+
     /// Total active time of `message`: Σ over its active intervals of the
     /// interval length (the left side of the paper's constraint (2)).
     pub fn active_time(&self, message: MessageId, intervals: &Intervals) -> f64 {

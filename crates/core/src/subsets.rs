@@ -1,4 +1,5 @@
 use sr_tfg::MessageId;
+use sr_topology::LinkId;
 
 use crate::{ActivityMatrix, PathAssignment};
 
@@ -23,14 +24,74 @@ pub fn related_subsets(
     let n = assignment.len();
     let mut parent: Vec<usize> = (0..n).collect();
 
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
+    // Two messages are directly related exactly when some (link, interval)
+    // bucket holds both, so chaining each bucket's members together yields
+    // the same connected components as testing every pair — and the
+    // min-root union below makes the output a function of the components
+    // alone. Buckets are walked link by link: `last[k]` is the previous
+    // message on the current link that is active in interval `k`.
+    let mut on_link: Vec<(LinkId, usize)> = (0..n)
+        .flat_map(|i| assignment.links(MessageId(i)).iter().map(move |&l| (l, i)))
+        .collect();
+    on_link.sort_unstable();
+    let mut last: Vec<Option<(LinkId, usize)>> = vec![None; activity.num_intervals()];
+    for &(l, i) in &on_link {
+        for (k, slot) in last.iter_mut().enumerate() {
+            if !activity.is_active(MessageId(i), k) {
+                continue;
+            }
+            if let Some((_, j)) = slot.filter(|&(link, _)| link == l) {
+                union(&mut parent, i, j);
+            }
+            *slot = Some((l, i));
         }
-        x
     }
 
+    collect_groups(assignment, &mut parent)
+}
+
+fn find(parent: &mut [usize], mut x: usize) -> usize {
+    while parent[x] != x {
+        parent[x] = parent[parent[x]];
+        x = parent[x];
+    }
+    x
+}
+
+/// Merges the sets of `i` and `j`, the smaller root winning — so a set's
+/// root is always its smallest member, whatever order unions arrive in.
+fn union(parent: &mut [usize], i: usize, j: usize) {
+    let (ri, rj) = (find(parent, i), find(parent, j));
+    if ri != rj {
+        parent[ri.max(rj)] = ri.min(rj);
+    }
+}
+
+/// The network-borne messages grouped by root: each group ascending, groups
+/// ordered by their smallest member.
+fn collect_groups(assignment: &PathAssignment, parent: &mut [usize]) -> Vec<Vec<MessageId>> {
+    let mut groups: std::collections::BTreeMap<usize, Vec<MessageId>> =
+        std::collections::BTreeMap::new();
+    for i in 0..assignment.len() {
+        if assignment.links(MessageId(i)).is_empty() {
+            continue;
+        }
+        let r = find(parent, i);
+        groups.entry(r).or_default().push(MessageId(i));
+    }
+    groups.into_values().collect()
+}
+
+/// The all-pairs formulation [`related_subsets`] replaced, kept as its
+/// oracle: test every pair of network-borne messages for a shared link and
+/// a shared active interval.
+#[cfg(test)]
+fn related_subsets_all_pairs(
+    assignment: &PathAssignment,
+    activity: &ActivityMatrix,
+) -> Vec<Vec<MessageId>> {
+    let n = assignment.len();
+    let mut parent: Vec<usize> = (0..n).collect();
     for i in 0..n {
         if assignment.links(MessageId(i)).is_empty() {
             continue;
@@ -51,24 +112,11 @@ pub fn related_subsets(
                 .iter()
                 .any(|&k| activity.is_active(MessageId(j), k));
             if share_interval {
-                let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                if ri != rj {
-                    parent[ri.max(rj)] = ri.min(rj);
-                }
+                union(&mut parent, i, j);
             }
         }
     }
-
-    let mut groups: std::collections::BTreeMap<usize, Vec<MessageId>> =
-        std::collections::BTreeMap::new();
-    for i in 0..n {
-        if assignment.links(MessageId(i)).is_empty() {
-            continue;
-        }
-        let r = find(&mut parent, i);
-        groups.entry(r).or_default().push(MessageId(i));
-    }
-    groups.into_values().collect()
+    collect_groups(assignment, &mut parent)
 }
 
 #[cfg(test)]
@@ -119,6 +167,57 @@ mod tests {
         assert_eq!(subsets.len(), 2);
         assert_eq!(subsets[0], vec![MessageId(0), MessageId(1)]);
         assert_eq!(subsets[1], vec![MessageId(2)]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Bucketed and all-pairs partitions agree — order included — on
+        /// random layered graphs whose tasks may share nodes (trivial
+        /// paths) and whose messages take random shortest paths.
+        #[test]
+        fn bucketed_subsets_match_all_pairs(
+            seed in proptest::prelude::any::<u64>(),
+            period_factor in 1.2f64..4.0,
+            tight in proptest::prelude::any::<bool>(),
+        ) {
+            use rand::{rngs::StdRng, Rng, SeedableRng};
+            use sr_topology::Topology;
+
+            let topo = GeneralizedHypercube::binary(4).unwrap();
+            let params = sr_tfg::generators::LayeredParams {
+                layers: 4,
+                width: 5,
+                edge_probability: 0.5,
+                ops: (500, 2000),
+                bytes: (64, 2048),
+            };
+            let tfg = sr_tfg::generators::layered_random(seed, &params);
+            let timing = Timing::new(64.0, 20.0);
+            let alloc = sr_mapping::random(&tfg, &topo, seed ^ 0x5eed);
+            let period = timing.longest_task(&tfg) * period_factor;
+            let policy = if tight { WindowPolicy::Tight } else { WindowPolicy::LongestTask };
+            let Ok(bounds) = assign_time_bounds(&tfg, &timing, period, policy) else {
+                return Ok(());
+            };
+            let intervals = Intervals::from_bounds(&bounds);
+            let activity = ActivityMatrix::new(&bounds, &intervals);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let paths = tfg
+                .messages()
+                .iter()
+                .map(|m| {
+                    let alts =
+                        topo.shortest_paths(alloc.node_of(m.src()), alloc.node_of(m.dst()), 8);
+                    alts[rng.gen_range(0..alts.len())].clone()
+                })
+                .collect();
+            let pa = PathAssignment::new(paths, &topo);
+            proptest::prop_assert_eq!(
+                related_subsets(&pa, &activity),
+                related_subsets_all_pairs(&pa, &activity)
+            );
+        }
     }
 
     #[test]

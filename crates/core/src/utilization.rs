@@ -387,19 +387,94 @@ impl UtilizationMap {
     }
 }
 
+/// A max-tournament tree over per-link keys answering the **leftmost**
+/// argmax in O(1) and absorbing a key update in O(log L).
+///
+/// "Leftmost" is the point: an ascending scan with a strict `>` (what
+/// [`UtilizationMap::compute`] does) settles on the first link attaining
+/// the maximum, and every internal node here keeps its left child's winner
+/// on a tie, so the root names exactly that link.
+struct MaxTree {
+    /// Leaf count, a power of two; leaves past the real links hold `-∞`
+    /// and never win against a real link's key (which is ≥ 0).
+    size: usize,
+    keys: Vec<f64>,
+    /// `winner[n]` is the leaf index winning the subtree under heap node
+    /// `n` (root 1, children `2n` / `2n + 1`, leaves at `size + i`).
+    winner: Vec<u32>,
+}
+
+impl MaxTree {
+    /// A tree over `len` links, all keys 0.
+    fn new(len: usize) -> Self {
+        let size = len.max(1).next_power_of_two();
+        assert!(
+            size <= u32::MAX as usize,
+            "link ids must fit the tree's u32 slots"
+        );
+        let mut keys = vec![f64::NEG_INFINITY; size];
+        keys[..len].fill(0.0);
+        let mut winner = vec![0u32; 2 * size];
+        for i in 0..size {
+            winner[size + i] = i as u32;
+        }
+        let mut tree = MaxTree { size, keys, winner };
+        for n in (1..size).rev() {
+            tree.replay(n);
+        }
+        tree
+    }
+
+    fn replay(&mut self, n: usize) {
+        let (l, r) = (self.winner[2 * n], self.winner[2 * n + 1]);
+        self.winner[n] = if self.keys[l as usize] >= self.keys[r as usize] {
+            l
+        } else {
+            r
+        };
+    }
+
+    fn set(&mut self, i: usize, key: f64) {
+        if self.keys[i].to_bits() == key.to_bits() {
+            return;
+        }
+        self.keys[i] = key;
+        let mut n = (self.size + i) / 2;
+        while n >= 1 {
+            let before = self.winner[n];
+            self.replay(n);
+            // A subtree that some other leaf won before and still wins
+            // looks the same from above: same winner, same key.
+            if self.winner[n] == before && before as usize != i {
+                break;
+            }
+            n /= 2;
+        }
+    }
+
+    /// The maximum key and the leftmost link holding it, or `None` while
+    /// every key is 0 (the scan's initial `0.0` is never beaten).
+    fn top(&self) -> Option<(usize, f64)> {
+        let i = self.winner[1] as usize;
+        let key = self.keys[i];
+        (key > 0.0).then_some((i, key))
+    }
+}
+
 /// Incrementally maintained effective-peak evaluator for the `AssignPaths`
 /// hill climb.
 ///
 /// [`UtilizationMap::compute`] is a pure per-link reduction, so rerouting
-/// one message can only change the figures of links on its old and new
+/// messages can only change the figures of links on their old and new
 /// paths. This evaluator caches every link's figures and, on
-/// [`UtilEval::set_path`], recomputes just the touched links (via the same
+/// [`UtilEval::set_paths`], recomputes just the touched links (via the same
 /// [`link_figures`] the full computation uses, over the same
-/// ascending-message lists) and rescans the cached per-link values for the
-/// peak. The result is **bitwise identical** to a fresh
+/// ascending-message lists), feeding each into two [`MaxTree`]s — one keyed
+/// by `max(U^l, spot row maximum)`, one by the Hall bound — whose roots are
+/// the peak. The result is **bitwise identical** to a fresh
 /// `UtilizationMap::compute` of the updated assignment — same peak, same
 /// location, same tie-breaks — while a reroute trial costs `O(touched
-/// links + num_links)` instead of `O(messages × links)`.
+/// links · log L)` instead of `O(messages × links)`.
 ///
 /// Undo is just another `set_path`: every cached figure is a pure function
 /// of the assignment, so restoring a path restores the evaluator's state
@@ -408,7 +483,6 @@ pub(crate) struct UtilEval<'a> {
     intervals: &'a Intervals,
     inputs: MsgInputs,
     per_link_msgs: Vec<Vec<usize>>,
-    tx_sum: Vec<f64>,
     link_util: Vec<f64>,
     /// Per link: the row maximum of the no-slack spot counts and the first
     /// interval achieving it. The full computation's running `c > peak`
@@ -416,13 +490,13 @@ pub(crate) struct UtilEval<'a> {
     /// this pair is enough to reproduce its selection exactly.
     spot_max: Vec<usize>,
     spot_arg: Vec<usize>,
-    hall_link: Vec<f64>,
+    /// Keyed `max(link_util, spot_max)` for links carrying traffic, else 0.
+    peak_tree: MaxTree,
+    /// Keyed by each link's Hall bound.
+    hall_tree: MaxTree,
     scratch: LinkScratch,
     touched: Vec<usize>,
-    peak_value: f64,
-    peak_at: Option<Hotspot>,
-    hall_peak: f64,
-    hall_at: Option<LinkId>,
+    link_recomputes: u64,
 }
 
 impl<'a> UtilEval<'a> {
@@ -437,22 +511,21 @@ impl<'a> UtilEval<'a> {
             intervals,
             inputs: MsgInputs::new(assignment.len(), bounds, activity, intervals.len()),
             per_link_msgs: per_link_messages(assignment, num_links),
-            tx_sum: vec![0.0; num_links],
             link_util: vec![0.0; num_links],
             spot_max: vec![0; num_links],
             spot_arg: vec![0; num_links],
-            hall_link: vec![0.0; num_links],
+            peak_tree: MaxTree::new(num_links),
+            hall_tree: MaxTree::new(num_links),
             scratch: LinkScratch::new(intervals.len()),
             touched: Vec::new(),
-            peak_value: 0.0,
-            peak_at: None,
-            hall_peak: 0.0,
-            hall_at: None,
+            link_recomputes: 0,
         };
+        // Idle links already sit at their all-zero figures.
         for l in 0..num_links {
-            eval.recompute_link(l);
+            if !eval.per_link_msgs[l].is_empty() {
+                eval.recompute_link(l);
+            }
         }
-        eval.rescan();
         eval
     }
 
@@ -465,22 +538,36 @@ impl<'a> UtilEval<'a> {
         path: sr_topology::Path,
         topo: &dyn sr_topology::Topology,
     ) {
-        let i = m.index();
+        self.set_paths(assignment, [(m, path)], topo);
+    }
+
+    /// Applies a batch of reroutes as one update: every link on an old or
+    /// new path of any rerouted message is recomputed once, after all the
+    /// message lists have settled.
+    pub(crate) fn set_paths(
+        &mut self,
+        assignment: &mut PathAssignment,
+        reroutes: impl IntoIterator<Item = (MessageId, sr_topology::Path)>,
+        topo: &dyn sr_topology::Topology,
+    ) {
         self.touched.clear();
-        for &l in assignment.links(m) {
-            let v = &mut self.per_link_msgs[l.index()];
-            if let Ok(pos) = v.binary_search(&i) {
-                v.remove(pos);
+        for (m, path) in reroutes {
+            let i = m.index();
+            for &l in assignment.links(m) {
+                let v = &mut self.per_link_msgs[l.index()];
+                if let Ok(pos) = v.binary_search(&i) {
+                    v.remove(pos);
+                }
+                self.touched.push(l.index());
             }
-            self.touched.push(l.index());
-        }
-        assignment.set_path(m, path, topo);
-        for &l in assignment.links(m) {
-            let v = &mut self.per_link_msgs[l.index()];
-            if let Err(pos) = v.binary_search(&i) {
-                v.insert(pos, i);
+            assignment.set_path(m, path, topo);
+            for &l in assignment.links(m) {
+                let v = &mut self.per_link_msgs[l.index()];
+                if let Err(pos) = v.binary_search(&i) {
+                    v.insert(pos, i);
+                }
+                self.touched.push(l.index());
             }
-            self.touched.push(l.index());
         }
         self.touched.sort_unstable();
         self.touched.dedup();
@@ -489,35 +576,61 @@ impl<'a> UtilEval<'a> {
             self.recompute_link(l);
         }
         self.touched = touched;
-        self.rescan();
+    }
+
+    /// The messages routed over `link`, ascending — equal to
+    /// [`PathAssignment::messages_on`] of the current assignment.
+    pub(crate) fn messages_on(&self, link: LinkId) -> &[usize] {
+        &self.per_link_msgs[link.index()]
+    }
+
+    /// Per-link figure recomputations performed so far, the constructor's
+    /// included — the evaluator's deterministic unit of work.
+    pub(crate) fn link_recomputes(&self) -> u64 {
+        self.link_recomputes
+    }
+
+    fn peak_value(&self) -> f64 {
+        self.peak_tree.top().map_or(0.0, |(_, key)| key)
+    }
+
+    fn hall_peak(&self) -> f64 {
+        self.hall_tree.top().map_or(0.0, |(_, key)| key)
     }
 
     /// `max(peak, hall_peak)`, equal to
     /// [`UtilizationMap::effective_peak`] of the current assignment.
     pub(crate) fn effective_peak(&self) -> f64 {
-        self.peak_value.max(self.hall_peak)
+        self.peak_value().max(self.hall_peak())
     }
 
     /// Where the effective peak occurs, equal to
     /// [`UtilizationMap::effective_location`] of the current assignment.
     pub(crate) fn effective_location(&self) -> Option<Hotspot> {
-        if self.hall_peak > self.peak_value {
-            self.hall_at.map(Hotspot::Group)
+        if self.hall_peak() > self.peak_value() {
+            self.hall_tree.top().map(|(l, _)| Hotspot::Group(LinkId(l)))
         } else {
-            self.peak_at
+            // Within the winning link the scan tries `U^l` before the spot
+            // counts, strict `>` both times: the spot only takes the peak
+            // when it exceeds the link's own utilization.
+            self.peak_tree.top().map(|(l, key)| {
+                if self.link_util[l] == key {
+                    Hotspot::Link(LinkId(l))
+                } else {
+                    Hotspot::Spot(LinkId(l), self.spot_arg[l])
+                }
+            })
         }
     }
 
     fn recompute_link(&mut self, l: usize) {
+        self.link_recomputes += 1;
         let fig = link_figures(
             &self.per_link_msgs[l],
             &self.inputs,
             self.intervals,
             &mut self.scratch,
         );
-        self.tx_sum[l] = fig.tx;
-        self.link_util[l] = if fig.tx > 0.0 { fig.util } else { 0.0 };
-        self.hall_link[l] = fig.hall;
         let mut smax = 0usize;
         let mut sarg = 0usize;
         // `marked` is ascending, so the strict `>` lands on the first
@@ -531,20 +644,33 @@ impl<'a> UtilEval<'a> {
         }
         self.spot_max[l] = smax;
         self.spot_arg[l] = sarg;
+        let util = if fig.tx > 0.0 { fig.util } else { 0.0 };
+        self.link_util[l] = util;
+        let key = if fig.tx > 0.0 {
+            util.max(smax as f64)
+        } else {
+            0.0
+        };
+        self.peak_tree.set(l, key);
+        self.hall_tree.set(l, fig.hall);
     }
 
-    /// Re-derives the global peak from the cached per-link figures with the
-    /// exact selection order of [`UtilizationMap::compute`]: links in
-    /// ascending index, each link's net utilization before its spot counts,
-    /// strict `>` everywhere.
-    fn rescan(&mut self) {
+    /// The linear peak selection the trees replaced, kept as their oracle:
+    /// one pass over the cached per-link figures in the exact order of
+    /// [`UtilizationMap::compute`] (links ascending, each link's net
+    /// utilization before its spot counts, strict `>` everywhere). Returns
+    /// `(effective peak, location)`.
+    #[cfg(test)]
+    fn rescan_oracle(&self) -> (f64, Option<Hotspot>) {
         let mut peak_value = 0.0f64;
         let mut peak_at = None;
         let mut hall_peak = 0.0f64;
         let mut hall_at = None;
-        for l in 0..self.tx_sum.len() {
-            if self.tx_sum[l] > 0.0 {
-                let u = self.link_util[l];
+        for l in 0..self.link_util.len() {
+            // `link_util` is positive exactly when the link carries
+            // transmission time.
+            let u = self.link_util[l];
+            if u > 0.0 {
                 if u > peak_value {
                     peak_value = u;
                     peak_at = Some(Hotspot::Link(LinkId(l)));
@@ -555,15 +681,17 @@ impl<'a> UtilEval<'a> {
                     peak_at = Some(Hotspot::Spot(LinkId(l), self.spot_arg[l]));
                 }
             }
-            if self.hall_link[l] > hall_peak {
-                hall_peak = self.hall_link[l];
+            let h = self.hall_tree.keys[l];
+            if h > hall_peak {
+                hall_peak = h;
                 hall_at = Some(LinkId(l));
             }
         }
-        self.peak_value = peak_value;
-        self.peak_at = peak_at;
-        self.hall_peak = hall_peak;
-        self.hall_at = hall_at;
+        if hall_peak > peak_value {
+            (hall_peak, hall_at.map(Hotspot::Group))
+        } else {
+            (peak_value, peak_at)
+        }
     }
 }
 
@@ -639,55 +767,206 @@ mod tests {
         assert!(!u.is_schedulable(1e-6));
     }
 
+    /// A path assignment plus everything needed to reroute it and to
+    /// recompute its utilizations from scratch.
+    struct Walk {
+        topo: Box<dyn Topology>,
+        candidates: Vec<Vec<sr_topology::Path>>,
+        pa: PathAssignment,
+        bounds: sr_tfg::TimeBounds,
+        intervals: Intervals,
+        activity: ActivityMatrix,
+    }
+
+    impl Walk {
+        fn new(
+            topo: Box<dyn Topology>,
+            tfg: &sr_tfg::TaskFlowGraph,
+            alloc: &Allocation,
+            bounds: sr_tfg::TimeBounds,
+        ) -> Self {
+            let candidates = tfg
+                .messages()
+                .iter()
+                .map(|m| topo.shortest_paths(alloc.node_of(m.src()), alloc.node_of(m.dst()), 64))
+                .collect();
+            let intervals = Intervals::from_bounds(&bounds);
+            let activity = ActivityMatrix::new(&bounds, &intervals);
+            let pa = PathAssignment::lsd_to_msd(tfg, topo.as_ref(), alloc);
+            Walk {
+                topo,
+                candidates,
+                pa,
+                bounds,
+                intervals,
+                activity,
+            }
+        }
+
+        fn full(&self) -> UtilizationMap {
+            UtilizationMap::compute(
+                &self.pa,
+                &self.bounds,
+                &self.activity,
+                &self.intervals,
+                self.topo.num_links(),
+            )
+        }
+
+        /// Drives `steps` random updates — single reroutes and batches of
+        /// up to 24 — through one evaluator, checking it against a fresh
+        /// full computation and the linear-scan oracle after each.
+        fn check_random_walk(&mut self, seed: u64, steps: usize) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut eval = UtilEval::new(
+                &self.pa,
+                &self.bounds,
+                &self.activity,
+                &self.intervals,
+                self.topo.num_links(),
+            );
+            for step in 0..steps {
+                let batch = if rng.gen_range(0..3) == 0 {
+                    rng.gen_range(2..=24)
+                } else {
+                    1
+                };
+                let reroutes: Vec<(MessageId, sr_topology::Path)> = (0..batch)
+                    .map(|_| {
+                        let i = rng.gen_range(0..self.candidates.len());
+                        let alts = &self.candidates[i];
+                        (MessageId(i), alts[rng.gen_range(0..alts.len())].clone())
+                    })
+                    .collect();
+                eval.set_paths(&mut self.pa, reroutes, self.topo.as_ref());
+
+                let full = self.full();
+                let got = (eval.effective_peak(), eval.effective_location());
+                assert_eq!(
+                    (got.0.to_bits(), got.1),
+                    (full.effective_peak().to_bits(), full.effective_location()),
+                    "seed {seed} step {step} (batch {batch}): evaluator {got:?} vs full compute"
+                );
+                let oracle = eval.rescan_oracle();
+                assert_eq!(
+                    (got.0.to_bits(), got.1),
+                    (oracle.0.to_bits(), oracle.1),
+                    "seed {seed} step {step} (batch {batch}): trees {got:?} vs linear scan"
+                );
+            }
+        }
+    }
+
+    /// The `figures scale` workload at 16×16: eight DVB pipelines, one per
+    /// 4-row × 8-column slot, all placed by the same seeded pattern — so
+    /// every tile repeats the same link loads and the peak is tied across
+    /// the tiles.
+    fn tiled_farm_16x16() -> Walk {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let n = 16;
+        let topo = sr_topology::Torus::new(&[n, n]).unwrap();
+        let tfg = sr_tfg::dvb_tiled(8, 10);
+        let per_tile = tfg.num_tasks() / 8;
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut cells: Vec<(usize, usize)> =
+            (0..4).flat_map(|r| (0..8).map(move |c| (r, c))).collect();
+        for i in 0..per_tile {
+            let j = rng.gen_range(i..cells.len());
+            cells.swap(i, j);
+        }
+        let placement = (0..4)
+            .flat_map(|band| (0..2).map(move |slot| (band, slot)))
+            .flat_map(|(band, slot)| {
+                cells[..per_tile]
+                    .iter()
+                    .map(move |&(dr, dc)| NodeId((band * 4 + dr) * n + slot * 8 + dc))
+            })
+            .collect();
+        let alloc = Allocation::new(placement, &tfg, &topo).unwrap();
+        let timing = Timing::calibrated_dvb(256.0);
+        let period = timing.longest_task(&tfg) / 0.5;
+        let bounds = assign_time_bounds(&tfg, &timing, period, WindowPolicy::LongestTask).unwrap();
+        Walk::new(Box::new(topo), &tfg, &alloc, bounds)
+    }
+
+    /// Four no-slack messages of different lengths leaving one node at the
+    /// same instant: the shared first link's spot count (how many of them
+    /// overlap) exceeds its net utilization, so the peak is a `Spot`.
+    fn tight_fanout() -> Walk {
+        let topo = GeneralizedHypercube::binary(3).unwrap();
+        let mut b = sr_tfg::TfgBuilder::new();
+        let s = b.task("s", 500);
+        for (i, bytes) in [640u64, 1280, 1920, 2560].into_iter().enumerate() {
+            let d = b.task(format!("d{i}"), 500);
+            b.message(format!("m{i}"), s, d, bytes).unwrap();
+        }
+        let tfg = b.build().unwrap();
+        let timing = Timing::new(64.0, 10.0);
+        let nodes = [0usize, 0b011, 0b101, 0b111, 0b110];
+        let alloc =
+            Allocation::new(nodes.iter().map(|&n| NodeId(n)).collect(), &tfg, &topo).unwrap();
+        let bounds = assign_time_bounds(&tfg, &timing, 200.0, WindowPolicy::Tight).unwrap();
+        Walk::new(Box::new(topo), &tfg, &alloc, bounds)
+    }
+
     /// The incremental evaluator's contract is *bitwise* agreement with a
     /// fresh full computation after any sequence of reroutes — that is what
     /// lets the hill climb swap one in for the other without changing a
     /// single accept/reject decision.
     #[test]
     fn incremental_eval_matches_full_compute_bitwise() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        use sr_topology::Topology;
-
         for policy in [WindowPolicy::LongestTask, WindowPolicy::Tight] {
             let topo = GeneralizedHypercube::binary(3).unwrap();
             let tfg = sr_tfg::generators::diamond(3, 500, 1280);
             let timing = Timing::new(64.0, 10.0);
             let alloc = sr_mapping::greedy(&tfg, &topo);
             let bounds = assign_time_bounds(&tfg, &timing, 100.0, policy).unwrap();
-            let intervals = Intervals::from_bounds(&bounds);
-            let activity = ActivityMatrix::new(&bounds, &intervals);
-            let num_links = topo.num_links();
+            Walk::new(Box::new(topo), &tfg, &alloc, bounds).check_random_walk(7, 200);
+        }
+    }
 
-            let candidates: Vec<Vec<sr_topology::Path>> = tfg
-                .messages()
-                .iter()
-                .map(|m| topo.shortest_paths(alloc.node_of(m.src()), alloc.node_of(m.dst()), 8))
-                .collect();
-            let mut pa = crate::PathAssignment::lsd_to_msd(&tfg, &topo, &alloc);
-            let mut eval = UtilEval::new(&pa, &bounds, &activity, &intervals, num_links);
+    #[test]
+    fn tiled_farm_peak_is_tied_across_tiles() {
+        // The leftmost tie-break is the whole risk of the tournament
+        // trees; make sure the farm really exercises it.
+        let walk = tiled_farm_16x16();
+        let full = walk.full();
+        assert_eq!(full.effective_peak(), 0.72);
+        let tied = (0..walk.topo.num_links())
+            .filter(|&l| full.link(LinkId(l)) == full.effective_peak())
+            .count();
+        assert!(
+            tied >= 8,
+            "only {tied} links tie at the peak — expected one per tile"
+        );
+    }
 
-            let mut rng = StdRng::seed_from_u64(7);
-            for step in 0..200 {
-                let i = rng.gen_range(0..candidates.len());
-                let alts = &candidates[i];
-                let p = alts[rng.gen_range(0..alts.len())].clone();
-                eval.set_path(&mut pa, MessageId(i), p, &topo);
+    #[test]
+    fn tight_fanout_peak_is_a_spot_above_its_links_utilization() {
+        let walk = tight_fanout();
+        let full = walk.full();
+        let Some(Hotspot::Spot(l, _)) = full.effective_location() else {
+            panic!("expected a spot peak, got {:?}", full.effective_location());
+        };
+        assert!(full.effective_peak() > full.link(l));
+    }
 
-                let full = UtilizationMap::compute(&pa, &bounds, &activity, &intervals, num_links);
-                assert_eq!(
-                    eval.effective_peak().to_bits(),
-                    full.effective_peak().to_bits(),
-                    "{policy:?} step {step}: peak diverged ({} vs {})",
-                    eval.effective_peak(),
-                    full.effective_peak()
-                );
-                assert_eq!(
-                    eval.effective_location(),
-                    full.effective_location(),
-                    "{policy:?} step {step}: location diverged"
-                );
-            }
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn tournament_eval_matches_full_compute_on_tied_farm(seed in proptest::prelude::any::<u64>()) {
+            tiled_farm_16x16().check_random_walk(seed, 40);
+        }
+
+        #[test]
+        fn tournament_eval_matches_full_compute_on_spot_peaks(seed in proptest::prelude::any::<u64>()) {
+            tight_fanout().check_random_walk(seed, 60);
         }
     }
 

@@ -481,6 +481,11 @@ fn try_repair(
         &config.assign_paths,
     );
     rec.add("repair.assign_paths.restarts", outcome.restarts as u64);
+    rec.add("repair.assign_paths.trials", outcome.trials);
+    rec.add(
+        "repair.assign_paths.link_recomputes",
+        outcome.link_recomputes,
+    );
     let peak = outcome.utilization.effective_peak();
     if peak > 1.0 + EPS {
         rec.add("repair.utilization_exceeded", 1);

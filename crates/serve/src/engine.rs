@@ -656,7 +656,7 @@ impl Engine {
                 },
             );
         }
-        self.trim_memo();
+        self.trim_memo(None);
         specs.iter().map(|s| self.admit(s, rec)).collect()
     }
 
@@ -807,18 +807,22 @@ impl Engine {
                 age: self.memo_clock,
             },
         );
-        self.trim_memo();
+        self.trim_memo(Some(&spec.name));
         Ok(false)
     }
 
     /// Drops least-recently-used memo entries beyond the configured
-    /// capacity. Entries of currently admitted tenants are kept.
-    fn trim_memo(&mut self) {
+    /// capacity. Entries of currently admitted tenants are kept, and so is
+    /// `keep` — the entry an admission in flight is about to read — so the
+    /// memo exceeds its capacity while residents pin it.
+    fn trim_memo(&mut self, keep: Option<&str>) {
         while self.memo.len() > self.cfg.memo_capacity.max(1) {
             let victim = self
                 .memo
                 .iter()
-                .filter(|(name, _)| !self.tenants.contains_key(*name))
+                .filter(|(name, _)| {
+                    !self.tenants.contains_key(*name) && keep != Some(name.as_str())
+                })
                 .min_by_key(|(_, e)| e.age)
                 .map(|(name, _)| name.clone());
             match victim {
@@ -935,6 +939,11 @@ impl Engine {
             &self.cfg.compile.assign_paths,
         );
         rec.add("serve.assign_paths.restarts", outcome.restarts as u64);
+        rec.add("serve.assign_paths.trials", outcome.trials);
+        rec.add(
+            "serve.assign_paths.link_recomputes",
+            outcome.link_recomputes,
+        );
         if outcome.utilization.effective_peak() > 1.0 + EPS {
             rec.add("serve.utilization_exceeded", 1);
             return None;

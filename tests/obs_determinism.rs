@@ -62,8 +62,41 @@ proptest! {
 
         let serial = deterministic_counters(&cube, &tfg, &alloc, &timing, period, 1);
         let parallel = deterministic_counters(&cube, &tfg, &alloc, &timing, period, 4);
+        // The climb's work counters are part of the compared set, not
+        // filtered out with `par.`.
+        for name in ["assign_paths.restarts", "assign_paths.trials", "assign_paths.link_recomputes"] {
+            prop_assert!(serial.0.contains_key(name), "missing {}", name);
+        }
         prop_assert_eq!(serial, parallel);
     }
+}
+
+/// The partitioned climb runs its parts on the `sr-par` pool; the work
+/// counters are summed from the parts' outcomes by the serial walk, so they
+/// too are the same at any thread count — and non-trivial on a workload
+/// whose peak link has alternatives to try.
+#[test]
+fn partitioned_climb_work_counters_are_thread_invariant() {
+    let topo = Torus::new(&[8, 8]).unwrap();
+    let tfg = sr::tfg::dvb_uniform(10);
+    let alloc = sr::mapping::random_distinct(&tfg, &topo, 7).unwrap();
+    let timing = Timing::calibrated_dvb(128.0);
+    let period = timing.longest_task(&tfg) * 2.0;
+    let counters = |threads: usize| {
+        let config = CompileConfig {
+            parallelism: threads,
+            partition: 2,
+            ..CompileConfig::default()
+        };
+        let rec = MetricsRecorder::new();
+        compile_with_recorder(&topo, &tfg, &alloc, &timing, period, &config, &rec)
+            .expect("DVB compiles at half load");
+        let all = rec.counters();
+        ["restarts", "trials", "link_recomputes"].map(|c| all[&format!("assign_paths.{c}")])
+    };
+    let serial = counters(1);
+    assert_eq!(serial, counters(4));
+    assert!(serial.iter().all(|&c| c > 0), "{serial:?}");
 }
 
 /// The parallel search should still report its speculative work somewhere:

@@ -176,3 +176,33 @@ fn saturating_the_fabric_yields_a_diagnosed_rejection() {
     eng.check_invariants()
         .expect("rejections leave the ledger clean");
 }
+
+/// With every memo slot pinned by a resident tenant, the entry `memoize`
+/// just inserted used to be the only evictable one — and the admission
+/// that needed it then died on a missing entry (the daemon answered
+/// `internal`). The memo must grow past its capacity instead.
+#[test]
+fn admitting_past_the_memo_capacity_keeps_the_entry_in_flight() {
+    let mut eng = Engine::new(
+        Box::new(Torus::new(&[16, 16]).expect("torus")),
+        ServeConfig {
+            period: 200.0,
+            ..ServeConfig::default()
+        },
+    );
+    let residents = ServeConfig::default().memo_capacity + 6;
+    for i in 0..residents {
+        let spec = TenantSpec {
+            name: format!("chain{i:03}"),
+            tfg_text: format!("task a{i} 200\ntask b{i} 240\nmsg m{i} a{i} -> b{i} 256"),
+            placement: Placement::Nodes(vec![2 * i, 2 * i + 1]),
+            best_effort: false,
+        };
+        let report = eng
+            .admit(&spec, &sr::obs::NOOP)
+            .unwrap_or_else(|e| panic!("tenant {i} of {residents}: {e:?}"));
+        assert_eq!(report.rung, AdmitRung::Fast, "tenant {i}");
+    }
+    assert_eq!(eng.tenants().count(), residents);
+    eng.check_invariants().expect("ledger invariants");
+}
