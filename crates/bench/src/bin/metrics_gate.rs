@@ -25,8 +25,10 @@
 //! ```
 //!
 //! `PATH` defaults to `results/metrics_baseline_<workload>_dvb.json`. Exit
-//! status is nonzero on any violation (and on a *passing* check under
-//! `--inject-drift`, which would mean the gate is blind).
+//! status is nonzero on any violation, on a baseline that cannot be read
+//! or parsed (`cannot parse baseline PATH: … at byte N`), and on a
+//! *passing* check under `--inject-drift`, which would mean the gate is
+//! blind.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -290,13 +292,13 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let doc = match workload.as_str() {
+    let build_document = || match workload.as_str() {
         "scale16" => build_document_scale16(),
         "serve" => build_document_serve(),
         _ => build_document_torus4x4(),
     };
     if mode_write {
-        if let Err(e) = std::fs::write(path, &doc) {
+        if let Err(e) = std::fs::write(path, build_document()) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -304,6 +306,8 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
+    // The baseline is read before the workload runs: a missing or damaged
+    // file fails at once.
     let baseline_text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -311,8 +315,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let baseline = flatten_json(&baseline_text);
-    let mut current = flatten_json(&doc);
+    let baseline = match flatten_json(&baseline_text) {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("cannot parse baseline {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let mut current = flatten_json(&build_document()).expect("the gate's own document parses");
     if inject {
         // Negative test: perturb one counter by 1 and one float past the
         // tolerance; the gate must catch both.

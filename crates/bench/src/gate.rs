@@ -13,6 +13,8 @@
 
 use std::collections::BTreeMap;
 
+use sr::obs::json::{self, Json, JsonError};
+
 /// Absolute tolerance for float-valued metrics (µs quantities and summary
 /// statistics). Counters compare exactly regardless.
 pub const FLOAT_TOL: f64 = 1e-6;
@@ -22,20 +24,30 @@ pub const FLOAT_TOL: f64 = 1e-6;
 /// Non-numeric leaves (strings, booleans, nulls) are ignored — the gate
 /// pins numbers only. Array elements get their index as a path component.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on malformed JSON — baselines are generated, never hand-edited,
-/// so a parse failure is itself a gate failure.
-pub fn flatten_json(text: &str) -> BTreeMap<String, f64> {
+/// The reader's [`JsonError`] (message and byte offset) on malformed or
+/// truncated input — a baseline that does not parse is a gate failure the
+/// caller reports, not a panic.
+pub fn flatten_json(text: &str) -> Result<BTreeMap<String, f64>, JsonError> {
+    fn walk(v: &Json, path: String, out: &mut BTreeMap<String, f64>) {
+        match v {
+            Json::Num(n) => {
+                out.insert(path, *n);
+            }
+            Json::Obj(m) => m
+                .iter()
+                .for_each(|(k, v)| walk(v, format!("{path}.{k}"), out)),
+            Json::Arr(items) => items
+                .iter()
+                .enumerate()
+                .for_each(|(i, v)| walk(v, format!("{path}.{i}"), out)),
+            Json::Null | Json::Bool(_) | Json::Str(_) => {}
+        }
+    }
     let mut out = BTreeMap::new();
-    let mut p = Parser {
-        s: text.as_bytes(),
-        i: 0,
-    };
-    p.value(String::new(), &mut out);
-    p.skip_ws();
-    assert_eq!(p.i, p.s.len(), "trailing garbage at byte {}", p.i);
-    out
+    walk(&json::parse(text.as_bytes())?, String::new(), &mut out);
+    Ok(out)
 }
 
 /// One gate violation, human-readable.
@@ -112,114 +124,6 @@ pub fn compare_metrics(
     v
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader over the shapes `metrics_json` and the gate emit:
-// objects, arrays, numbers, strings, true/false/null.
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn value(&mut self, path: String, out: &mut BTreeMap<String, f64>) {
-        self.skip_ws();
-        match self.s[self.i] {
-            b'{' => {
-                self.i += 1;
-                self.skip_ws();
-                if self.s[self.i] == b'}' {
-                    self.i += 1;
-                    return;
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string();
-                    self.skip_ws();
-                    assert_eq!(self.s[self.i], b':', "expected ':' at byte {}", self.i);
-                    self.i += 1;
-                    self.value(format!("{path}.{key}"), out);
-                    self.skip_ws();
-                    match self.s[self.i] {
-                        b',' => self.i += 1,
-                        b'}' => {
-                            self.i += 1;
-                            return;
-                        }
-                        c => panic!("unexpected '{}' in object", c as char),
-                    }
-                }
-            }
-            b'[' => {
-                self.i += 1;
-                self.skip_ws();
-                if self.s[self.i] == b']' {
-                    self.i += 1;
-                    return;
-                }
-                let mut idx = 0usize;
-                loop {
-                    self.value(format!("{path}.{idx}"), out);
-                    idx += 1;
-                    self.skip_ws();
-                    match self.s[self.i] {
-                        b',' => self.i += 1,
-                        b']' => {
-                            self.i += 1;
-                            return;
-                        }
-                        c => panic!("unexpected '{}' in array", c as char),
-                    }
-                }
-            }
-            b'"' => {
-                let _ = self.string(); // non-numeric leaf: ignored
-            }
-            b't' => self.i += 4,
-            b'f' => self.i += 5,
-            b'n' => self.i += 4,
-            _ => {
-                let start = self.i;
-                while self.i < self.s.len()
-                    && matches!(
-                        self.s[self.i],
-                        b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-                    )
-                {
-                    self.i += 1;
-                }
-                let n: f64 = std::str::from_utf8(&self.s[start..self.i])
-                    .unwrap()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("bad number at byte {start}"));
-                out.insert(path, n);
-            }
-        }
-    }
-
-    fn string(&mut self) -> String {
-        assert_eq!(self.s[self.i], b'"', "expected string at byte {}", self.i);
-        self.i += 1;
-        let start = self.i;
-        while self.s[self.i] != b'"' {
-            // metrics names never contain escapes; reject rather than
-            // silently mis-parse.
-            assert_ne!(self.s[self.i], b'\\', "escape in metrics key");
-            self.i += 1;
-        }
-        let s = std::str::from_utf8(&self.s[start..self.i]).unwrap().into();
-        self.i += 1;
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,7 +138,7 @@ mod tests {
 
     #[test]
     fn flatten_reaches_every_numeric_leaf() {
-        let m = flatten_json(DOC);
+        let m = flatten_json(DOC).unwrap();
         assert_eq!(m[".counters.lp.pivots"], 42.0);
         assert_eq!(m[".counters.reroutes"], 3.0);
         assert_eq!(m[".oi.wr.max_deviation_us"], 109.18);
@@ -244,21 +148,35 @@ mod tests {
 
     #[test]
     fn flatten_handles_arrays_and_empties() {
-        let m = flatten_json(r#"{"a": [1, 2.5], "b": {}, "c": []}"#);
+        let m = flatten_json(r#"{"a": [1, 2.5], "b": {}, "c": []}"#).unwrap();
         assert_eq!(m[".a.0"], 1.0);
         assert_eq!(m[".a.1"], 2.5);
         assert_eq!(m.len(), 2);
     }
 
+    /// A damaged baseline is an `Err` with an offset inside the input,
+    /// wherever the damage is.
+    #[test]
+    fn truncated_baselines_are_errors_at_every_offset() {
+        let baseline = include_str!("../../../results/metrics_baseline_torus4x4_dvb.json");
+        for doc in [DOC, baseline.trim_end()] {
+            assert!(flatten_json(doc).is_ok());
+            for cut in 0..doc.len() {
+                let e = flatten_json(&doc[..cut]).expect_err("a strict prefix is no document");
+                assert!(e.offset <= cut, "{e} past a {cut}-byte input");
+            }
+        }
+    }
+
     #[test]
     fn identical_documents_pass() {
-        let m = flatten_json(DOC);
+        let m = flatten_json(DOC).unwrap();
         assert!(compare_metrics(&m, &m, FLOAT_TOL).is_empty());
     }
 
     #[test]
     fn counter_drift_of_one_fails() {
-        let base = flatten_json(DOC);
+        let base = flatten_json(DOC).unwrap();
         let mut cur = base.clone();
         *cur.get_mut(".counters.lp.pivots").unwrap() += 1.0;
         let v = compare_metrics(&base, &cur, FLOAT_TOL);
@@ -269,7 +187,7 @@ mod tests {
 
     #[test]
     fn float_drift_respects_tolerance() {
-        let base = flatten_json(DOC);
+        let base = flatten_json(DOC).unwrap();
         let mut cur = base.clone();
         *cur.get_mut(".oi.wr.max_deviation_us").unwrap() += FLOAT_TOL / 2.0;
         assert!(compare_metrics(&base, &cur, FLOAT_TOL).is_empty());
@@ -281,7 +199,7 @@ mod tests {
 
     #[test]
     fn integer_statistics_are_exact_even_outside_counters() {
-        let base = flatten_json(DOC);
+        let base = flatten_json(DOC).unwrap();
         let mut cur = base.clone();
         *cur.get_mut(".oi.wr.outputs").unwrap() -= 1.0;
         let v = compare_metrics(&base, &cur, FLOAT_TOL);
@@ -291,7 +209,7 @@ mod tests {
 
     #[test]
     fn structural_drift_fails_both_ways() {
-        let base = flatten_json(DOC);
+        let base = flatten_json(DOC).unwrap();
         let mut cur = base.clone();
         cur.remove(".counters.reroutes");
         cur.insert(".counters.brand_new".into(), 1.0);

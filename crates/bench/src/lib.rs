@@ -21,6 +21,7 @@
 #![warn(missing_docs)]
 
 use sr::core::{assign_paths, ActivityMatrix, AssignPathsConfig, Intervals};
+use sr::obs::escape_json;
 use sr::prelude::*;
 
 pub mod gate;
@@ -598,24 +599,20 @@ pub fn scale_markdown(points: &[ScalePoint]) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Renders the scale sweep as the `BENCH_scale.json` artifact (one document,
-/// hand-rolled like the metrics baseline — no serde in the workspace).
+/// a format string like the metrics baseline — no serde in the workspace).
 pub fn scale_json(points: &[ScalePoint]) -> String {
     let mut out = String::from("{\n\"workload\": \"tiled_dvb\",\n\"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         let tail = match &p.outcome {
             Ok(u) => format!("\"ok\": true, \"peak_utilization\": {u}"),
-            Err(e) => format!("\"ok\": false, \"error\": \"{}\"", json_escape(e)),
+            Err(e) => format!("\"ok\": false, \"error\": \"{}\"", escape_json(e)),
         };
         out.push_str(&format!(
             "{}{{\"platform\": \"{}\", \"nodes\": {}, \"tasks\": {}, \"messages\": {}, \
              \"engine\": \"{}\", \"partition\": {}, \"compile_ms\": {}, \"verify_ms\": {}, {tail}}}",
             if i == 0 { "" } else { ",\n" },
-            json_escape(&p.platform),
+            escape_json(&p.platform),
             p.nodes,
             p.tasks,
             p.messages,
@@ -640,6 +637,28 @@ mod tests {
         assert!((periods[0] - 250.0).abs() < 1e-9); // load 0.2
         assert!((periods[LOAD_POINTS - 1] - 50.0).abs() < 1e-9); // load 1.0
         assert!(periods.windows(2).all(|w| w[1] < w[0]));
+    }
+
+    /// An error string is arbitrary text: whatever it holds, the artifact
+    /// must still parse and give the text back.
+    #[test]
+    fn scale_json_round_trips_error_text_with_control_characters() {
+        let error = "infeasible:\n\tlink \"7\" over \\ capacity";
+        let row = ScalePoint {
+            platform: "16x16 torus".to_string(),
+            nodes: 256,
+            tasks: 112,
+            messages: 192,
+            engine: "flow".to_string(),
+            partition: 4,
+            compile_ms: 9.5,
+            verify_ms: 0.0,
+            outcome: Err(error.to_string()),
+        };
+        let doc = sr::obs::json::parse(scale_json(&[row]).as_bytes()).expect("artifact parses");
+        let point = &doc.get("points").and_then(|p| p.as_arr()).expect("points")[0];
+        assert_eq!(point.get("error").and_then(|e| e.as_str()), Some(error));
+        assert_eq!(point.get("ok").and_then(|v| v.as_bool()), Some(false));
     }
 
     #[test]

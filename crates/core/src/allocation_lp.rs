@@ -228,10 +228,18 @@ pub fn allocate_intervals_warm(
 /// per-interval usage is subtracted from the capacity available to the LP
 /// (constraint (4) becomes `Σ x_ik ≤ capacity_scale·|A_k| − reserved_lk`).
 ///
-/// This is the allocation stage of incremental repair: after `AssignPaths`
-/// re-routes the affected messages over the masked topology, only their
-/// rows are re-derived — the unaffected traffic keeps its exact split, so
-/// downstream slices and Ω entries for it never move.
+/// This is the allocation stage of incremental repair and of multi-tenant
+/// admission: after `AssignPaths` re-routes the affected messages, only
+/// their rows are re-derived — the unaffected traffic keeps its exact
+/// split, so downstream slices and Ω entries for it never move.
+///
+/// On top of the capacity consumed by the pinned rows, `reserved[link][k]`
+/// µs of interval `k` on `link` are unavailable to the LP (clamped at
+/// zero): **external reservations** describe traffic that lives *outside*
+/// this allocation problem entirely (other tenants' schedules folded onto
+/// this tenant's interval grid), where the pinned path describes rows of
+/// the *same* matrix. Entries of `reserved` must have one value per
+/// interval; links absent from the map reserve nothing.
 ///
 /// Rows of messages whose (possibly updated) path assignment has no links —
 /// local messages, and dropped/demoted messages encoded with trivial paths —
@@ -239,7 +247,11 @@ pub fn allocate_intervals_warm(
 ///
 /// `subsets` must be the maximal related subsets of the *new* `assignment`;
 /// subsets containing no affected message are skipped (their members are
-/// pinned anyway).
+/// pinned anyway). `cache` is optional: a ladder that walks the same
+/// affected-message allocation across shrinking capacity scales passes
+/// `Some`, and the previous rung's bases warm-start the next — same
+/// verdicts as the cold path; the affected rows' split may sit on a
+/// different optimal vertex.
 ///
 /// # Errors
 ///
@@ -249,97 +261,8 @@ pub fn allocate_intervals_warm(
 ///
 /// # Panics
 ///
-/// Panics if `pinned` has a different message count than `assignment`.
-#[allow(clippy::too_many_arguments)]
-pub fn allocate_intervals_pinned(
-    assignment: &PathAssignment,
-    bounds: &TimeBounds,
-    activity: &ActivityMatrix,
-    intervals: &Intervals,
-    subsets: &[Vec<MessageId>],
-    affected: &[MessageId],
-    pinned: &IntervalAllocation,
-    capacity_scale: f64,
-) -> Result<IntervalAllocation, CompileError> {
-    allocate_intervals_pinned_impl(
-        assignment,
-        bounds,
-        activity,
-        intervals,
-        subsets,
-        affected,
-        pinned,
-        None,
-        capacity_scale,
-        None,
-        &mut AllocationStats::default(),
-    )
-}
-
-/// [`allocate_intervals_pinned`] with warm-started subset LPs and work
-/// counters — the repair ladder's variant.
-///
-/// `sr-fault::repair` walks the same affected-message allocation across a
-/// shrinking capacity-scale ladder; the subset LPs differ only in their
-/// residual capacities (pinned traffic folded into the right-hand side), so
-/// the previous rung's bases warm-start the next. Same verdicts as the cold
-/// path; the affected rows' split may sit on a different optimal vertex.
-///
-/// # Errors
-///
-/// As [`allocate_intervals_pinned`].
-///
-/// # Panics
-///
-/// As [`allocate_intervals_pinned`].
-#[allow(clippy::too_many_arguments)]
-pub fn allocate_intervals_pinned_warm(
-    assignment: &PathAssignment,
-    bounds: &TimeBounds,
-    activity: &ActivityMatrix,
-    intervals: &Intervals,
-    subsets: &[Vec<MessageId>],
-    affected: &[MessageId],
-    pinned: &IntervalAllocation,
-    capacity_scale: f64,
-    cache: &mut AllocBasisCache,
-    stats: &mut AllocationStats,
-) -> Result<IntervalAllocation, CompileError> {
-    allocate_intervals_pinned_impl(
-        assignment,
-        bounds,
-        activity,
-        intervals,
-        subsets,
-        affected,
-        pinned,
-        None,
-        capacity_scale,
-        Some(cache),
-        stats,
-    )
-}
-
-/// [`allocate_intervals_pinned_warm`] with **external reservations**: on top
-/// of the capacity consumed by the pinned rows, `reserved[link][k]` µs of
-/// interval `k` on `link` are unavailable to the LP (clamped at zero). This
-/// is the multi-tenant admission variant — the reservations describe
-/// traffic that lives *outside* this allocation problem entirely (other
-/// tenants' schedules folded onto this tenant's interval grid), where the
-/// pinned path describes rows of the *same* matrix.
-///
-/// Entries of `reserved` must have one value per interval; links absent
-/// from the map reserve nothing. `cache` is optional: `Some` warm-starts
-/// the subset LPs exactly like [`allocate_intervals_pinned_warm`].
-///
-/// # Errors
-///
-/// As [`allocate_intervals_pinned`].
-///
-/// # Panics
-///
-/// As [`allocate_intervals_pinned`], and if a `reserved` row's length is
-/// not `intervals.len()`.
+/// Panics if `pinned` has a different message count than `assignment`, or
+/// if a `reserved` row's length is not `intervals.len()`.
 #[allow(clippy::too_many_arguments)]
 pub fn allocate_intervals_pinned_reserved(
     assignment: &PathAssignment,
@@ -380,7 +303,7 @@ pub fn allocate_intervals_pinned_reserved(
 /// members' paths stay inside one node partition (`part_of[node] = part`)
 /// are solved concurrently via [`sr_par::par_map`], then the remaining
 /// **boundary** subsets are solved serially with every interior row pinned
-/// ([`allocate_intervals_pinned`]'s residual-capacity pass).
+/// ([`allocate_intervals_pinned_reserved`]'s residual-capacity pass).
 ///
 /// Maximal related subsets never couple through a `(link, interval)` pair,
 /// so the parallel interior solves and the pinned boundary pass produce the
@@ -884,7 +807,7 @@ mod tests {
         )
         .unwrap();
         // Re-derive only message 1, pinning message 0.
-        let repaired = allocate_intervals_pinned(
+        let repaired = allocate_intervals_pinned_reserved(
             &f.assignment,
             &f.bounds,
             &f.activity,
@@ -892,7 +815,10 @@ mod tests {
             &f.subsets,
             &[MessageId(1)],
             &full,
+            &std::collections::HashMap::new(),
             1.0,
+            None,
+            &mut AllocationStats::default(),
         )
         .unwrap();
         assert_eq!(repaired.row(MessageId(0)), full.row(MessageId(0)));
@@ -914,7 +840,7 @@ mod tests {
             1.0,
         )
         .unwrap();
-        let err = allocate_intervals_pinned(
+        let err = allocate_intervals_pinned_reserved(
             &f.assignment,
             &f.bounds,
             &f.activity,
@@ -922,7 +848,10 @@ mod tests {
             &f.subsets,
             &[MessageId(1)],
             &full,
+            &std::collections::HashMap::new(),
             0.5,
+            None,
+            &mut AllocationStats::default(),
         )
         .unwrap_err();
         assert!(matches!(err, CompileError::AllocationInfeasible { .. }));

@@ -7,7 +7,7 @@ use sr_tfg::{MessageId, TaskFlowGraph, TimeBounds, Timing, WindowPolicy};
 use sr_topology::{NodeId, Topology};
 
 use crate::diagnosis::{CandidateOutcome, CandidateRecord, Diagnosis};
-use crate::interval_sched::{schedule_intervals_greedy, schedule_intervals_guarded_stats};
+use crate::interval_sched::schedule_intervals_guarded_stats;
 use crate::{
     allocate_intervals_flow, allocate_intervals_partitioned, allocate_intervals_stats,
     allocate_intervals_warm, assign_paths_pooled, build_node_schedules, related_subsets,
@@ -58,10 +58,6 @@ pub struct CompileConfig {
     /// assignment constrains everything downstream, so a different
     /// same-peak assignment often compiles).
     pub path_retry_seeds: usize,
-    /// Use the greedy list scheduler instead of the \[BDW86\] LP for
-    /// interval scheduling (an ablation: faster, occasionally fails where
-    /// the LP succeeds).
-    pub greedy_interval_scheduling: bool,
     /// Clock-skew guard time (µs) reserved before every transmission slice
     /// — the paper's §7 margin for CP synchronization ("twice the maximum
     /// difference between two clocks"). Zero assumes perfectly synchronized
@@ -123,7 +119,6 @@ impl Default for CompileConfig {
             utilization_tolerance: 1e-6,
             feedback_scales: vec![1.0, 0.9, 0.8, 0.7],
             path_retry_seeds: 3,
-            greedy_interval_scheduling: false,
             guard_time: 0.0,
             parallelism: 0,
             warm_start: true,
@@ -757,25 +752,15 @@ impl SearchCtx<'_> {
         };
 
         let sched_span = sr_obs::span(self.rec, "phase.schedule_intervals");
-        let scheduled = if self.config.greedy_interval_scheduling {
-            schedule_intervals_greedy(
-                &ev.assignment,
-                &allocation,
-                self.intervals,
-                &ev.subsets,
-                self.config.guard_time,
-            )
-        } else {
-            schedule_intervals_guarded_stats(
-                &ev.assignment,
-                &allocation,
-                self.intervals,
-                &ev.subsets,
-                self.config.max_feasible_sets,
-                self.config.guard_time,
-                &mut stats.isched,
-            )
-        };
+        let scheduled = schedule_intervals_guarded_stats(
+            &ev.assignment,
+            &allocation,
+            self.intervals,
+            &ev.subsets,
+            self.config.max_feasible_sets,
+            self.config.guard_time,
+            &mut stats.isched,
+        );
         sched_span.annotate("lp_pivots", stats.isched.lp.pivots as f64);
         drop(sched_span);
         let (outcome, code) = match scheduled {
@@ -1350,21 +1335,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CompileError::AllocationMismatch { .. }));
-    }
-
-    #[test]
-    fn greedy_scheduler_compiles_and_verifies() {
-        let topo = GeneralizedHypercube::binary(4).unwrap();
-        let tfg = generators::diamond(4, 500, 1280);
-        let timing = Timing::new(64.0, 10.0);
-        let alloc = sr_mapping::greedy(&tfg, &topo);
-        let config = CompileConfig {
-            greedy_interval_scheduling: true,
-            ..CompileConfig::default()
-        };
-        let sched = compile(&topo, &tfg, &alloc, &timing, 80.0, &config)
-            .expect("greedy scheduler compiles the diamond");
-        crate::verify(&sched, &topo, &tfg).expect("greedy schedules verify too");
     }
 
     #[test]

@@ -135,40 +135,11 @@ mod tests {
         .expect("compiles")
     }
 
-    /// A minimal structural validator: balanced braces/brackets outside
-    /// strings, no trailing commas before closers.
-    fn check_json_structure(s: &str) {
-        let mut depth: i64 = 0;
-        let mut in_str = false;
-        let mut prev = ' ';
-        for c in s.chars() {
-            if in_str {
-                if c == '"' && prev != '\\' {
-                    in_str = false;
-                }
-            } else {
-                match c {
-                    '"' => in_str = true,
-                    '{' | '[' => depth += 1,
-                    '}' | ']' => {
-                        assert_ne!(prev, ',', "trailing comma before {c}");
-                        depth -= 1;
-                        assert!(depth >= 0, "unbalanced closer");
-                    }
-                    _ => {}
-                }
-            }
-            prev = c;
-        }
-        assert_eq!(depth, 0, "unbalanced JSON");
-        assert!(!in_str, "unterminated string");
-    }
-
     #[test]
     fn json_is_structurally_valid_and_complete() {
         let s = compiled();
         let json = s.to_json();
-        check_json_structure(&json);
+        sr_obs::json::parse(json.as_bytes()).expect("export parses");
         assert!(json.starts_with('{') && json.ends_with('}'));
         for key in [
             "\"period_us\":100.0",

@@ -369,104 +369,6 @@ fn schedule_subset_interval(
     Ok(())
 }
 
-/// Greedy alternative to the \[BDW86\] LP: repeatedly transmit a maximal
-/// link-compatible set of the messages with remaining allocation, longest
-/// remaining first, until every allocation is exhausted.
-///
-/// Always *correct* (slices realize the allocation, no set shares a link)
-/// but not always *optimal*: the LP can finish an interval the greedy
-/// packing cannot. The compile pipeline uses it when
-/// [`crate::CompileConfig::greedy_interval_scheduling`] is set — an
-/// ablation of the paper's choice of an exact formulation.
-///
-/// # Errors
-///
-/// [`CompileError::IntervalUnschedulable`] when the greedy packing exceeds
-/// an interval's length.
-pub fn schedule_intervals_greedy(
-    assignment: &PathAssignment,
-    allocation: &IntervalAllocation,
-    intervals: &Intervals,
-    subsets: &[Vec<MessageId>],
-    guard: f64,
-) -> Result<Vec<IntervalSchedule>, CompileError> {
-    let mut out = Vec::new();
-    for k in 0..intervals.len() {
-        let mut slices = Vec::new();
-        for subset in subsets {
-            let mut remaining: Vec<(MessageId, f64)> = subset
-                .iter()
-                .copied()
-                .filter_map(|m| {
-                    let a = allocation.allocated(m, k);
-                    (a > EPS).then_some((m, a))
-                })
-                .collect();
-            if remaining.is_empty() {
-                continue;
-            }
-            let (start, _) = intervals.bounds(k);
-            let available = intervals.length(k);
-            let mut cursor = start;
-            while !remaining.is_empty() {
-                // Longest-remaining-first maximal compatible set.
-                remaining.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                let mut set: Vec<usize> = Vec::new();
-                for i in 0..remaining.len() {
-                    let conflicts = set.iter().any(|&j| {
-                        assignment
-                            .links(remaining[i].0)
-                            .iter()
-                            .any(|l| assignment.links(remaining[j].0).contains(l))
-                    });
-                    if !conflicts {
-                        set.push(i);
-                    }
-                }
-                // Run the set until its shortest member exhausts.
-                let quantum = set
-                    .iter()
-                    .map(|&i| remaining[i].1)
-                    .fold(f64::INFINITY, f64::min);
-                cursor += guard;
-                slices.push(Slice {
-                    messages: {
-                        let mut m: Vec<MessageId> = set.iter().map(|&i| remaining[i].0).collect();
-                        m.sort();
-                        m
-                    },
-                    start: cursor,
-                    duration: quantum,
-                });
-                cursor += quantum;
-                if cursor - start > available + EPS {
-                    return Err(CompileError::IntervalUnschedulable {
-                        interval: k,
-                        required: cursor - start,
-                        available,
-                    });
-                }
-                for &i in &set {
-                    remaining[i].1 -= quantum;
-                }
-                remaining.retain(|&(_, r)| r > EPS);
-            }
-        }
-        if !slices.is_empty() {
-            slices.sort_by(|a, b| {
-                a.start
-                    .total_cmp(&b.start)
-                    .then_with(|| a.messages.cmp(&b.messages))
-            });
-            out.push(IntervalSchedule {
-                interval: k,
-                slices,
-            });
-        }
-    }
-    Ok(out)
-}
-
 /// Depth-first enumeration of the independent sets of the active messages,
 /// in lexicographic order of member positions, into the flat arena in
 /// `scratch` (no per-set allocation). Returns `false` as soon as the set
@@ -629,58 +531,6 @@ mod tests {
                 assert_eq!(s.messages.len(), 1);
             }
         }
-    }
-
-    #[test]
-    fn greedy_realizes_allocation_and_never_beats_lp() {
-        // m0 {L01}, m1 {L12}, m2 {L01, L12}: LP optimum interleaves.
-        let (_topo, pa) = ring_assignment(vec![vec![0, 1], vec![1, 2], vec![0, 1, 2]]);
-        let intervals = one_interval(10.0);
-        let alloc = uniform_alloc(3, 1, 0, 3.0);
-        let subsets = vec![vec![MessageId(0), MessageId(1), MessageId(2)]];
-        let lp = schedule_intervals(&pa, &alloc, &intervals, &subsets, 10_000).unwrap();
-        let greedy = schedule_intervals_greedy(&pa, &alloc, &intervals, &subsets, 0.0).unwrap();
-        let makespan = |s: &[IntervalSchedule]| {
-            s.iter()
-                .flat_map(|is| is.slices.iter())
-                .map(Slice::end)
-                .fold(0.0f64, f64::max)
-        };
-        assert!(makespan(&greedy) >= makespan(&lp) - 1e-9);
-        // Both realize exactly 3.0 per message.
-        for sched in [&lp, &greedy] {
-            let mut sums = [0.0f64; 3];
-            for is in sched.iter() {
-                for sl in &is.slices {
-                    for m in &sl.messages {
-                        sums[m.index()] += sl.duration;
-                    }
-                }
-            }
-            for s in sums {
-                assert!((s - 3.0).abs() < 1e-6, "{sums:?}");
-            }
-        }
-        // Greedy slices never co-schedule conflicting messages.
-        for is in &greedy {
-            for sl in &is.slices {
-                for (a, &ma) in sl.messages.iter().enumerate() {
-                    for &mb in sl.messages.iter().skip(a + 1) {
-                        assert!(pa.links(ma).iter().all(|l| !pa.links(mb).contains(l)));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn greedy_detects_overflow() {
-        let (_topo, pa) = ring_assignment(vec![vec![0, 1], vec![0, 1]]);
-        let intervals = one_interval(10.0);
-        let alloc = uniform_alloc(2, 1, 0, 6.0); // 12 serialized > 10
-        let subsets = vec![vec![MessageId(0), MessageId(1)]];
-        let err = schedule_intervals_greedy(&pa, &alloc, &intervals, &subsets, 0.0).unwrap_err();
-        assert!(matches!(err, CompileError::IntervalUnschedulable { .. }));
     }
 
     #[test]

@@ -89,9 +89,9 @@ pub use allocation_flow::{
     allocate_intervals_pinned_reserved_flow, FlowAllocStats, FlowKernel, FlowWorkspace,
 };
 pub use allocation_lp::{
-    allocate_intervals, allocate_intervals_partitioned, allocate_intervals_pinned,
-    allocate_intervals_pinned_reserved, allocate_intervals_pinned_warm, allocate_intervals_stats,
-    allocate_intervals_warm, AllocBasisCache, AllocationStats, IntervalAllocation,
+    allocate_intervals, allocate_intervals_partitioned, allocate_intervals_pinned_reserved,
+    allocate_intervals_stats, allocate_intervals_warm, AllocBasisCache, AllocationStats,
+    IntervalAllocation,
 };
 pub use assign_paths::{
     assign_paths, assign_paths_partial, assign_paths_partitioned, assign_paths_pooled,
@@ -110,8 +110,8 @@ pub use diagnosis::{
 pub use error::{CompileError, VerifyError};
 pub use execute::{execute, ExecuteError, ExecutedInvocation, Execution};
 pub use interval_sched::{
-    schedule_intervals, schedule_intervals_greedy, schedule_intervals_guarded,
-    schedule_intervals_guarded_stats, IntervalSchedStats, IntervalSchedule, Slice,
+    schedule_intervals, schedule_intervals_guarded, schedule_intervals_guarded_stats,
+    IntervalSchedStats, IntervalSchedule, Slice,
 };
 pub use intervals::{ActivityMatrix, Intervals};
 pub use optimize::{co_design, find_min_period, CoDesignResult, MinPeriodResult};

@@ -15,7 +15,7 @@
 //! * **Incremental repair** — [`repair`] re-routes only the affected
 //!   messages over the masked topology ([`sr_core::assign_paths_partial`]),
 //!   re-derives only their allocation rows with every unaffected row pinned
-//!   bit-identically ([`sr_core::allocate_intervals_pinned`]), and packs
+//!   bit-identically ([`sr_core::allocate_intervals_pinned_reserved`]), and packs
 //!   the re-routed traffic into the links' remaining idle time without
 //!   moving a single retained slice. The result passes
 //!   [`sr_core::verify_with_faults`].

@@ -34,6 +34,7 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 use crate::events::{SimEvent, SimEventKind, NO_ID};
+use crate::json::{self, Json};
 use crate::{escape_json, MetricsRecorder, Summary};
 
 /// Default rotation budget: 8 MiB per journal file.
@@ -294,86 +295,63 @@ pub fn parse_journal(text: &str) -> JournalData {
     data
 }
 
-/// One parsed JSON scalar of a journal line.
-enum Val {
-    Str(String),
-    Num(f64),
-    Null,
-}
-
-impl Val {
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Val::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Val::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// `null` maps to [`NO_ID`], matching the writer's encoding.
-    fn as_id(&self) -> Option<u32> {
-        match self {
-            Val::Null => Some(NO_ID),
-            Val::Num(v) if *v >= 0.0 && *v <= f64::from(u32::MAX) => Some(*v as u32),
-            _ => None,
-        }
+/// `null` maps to [`NO_ID`], matching the writer's encoding.
+fn as_id(v: &Json) -> Option<u32> {
+    match v {
+        Json::Null => Some(NO_ID),
+        Json::Num(v) if *v >= 0.0 && *v <= f64::from(u32::MAX) => Some(*v as u32),
+        _ => None,
     }
 }
 
+/// Folds one journal line into `data`; `None` (counted as skipped) for
+/// anything that is not a JSON object of a known `t` with its fields.
 fn parse_line(line: &str, data: &mut JournalData) -> Option<()> {
-    let obj = parse_flat_object(line)?;
-    match obj.get("t")?.as_str()? {
+    let doc = json::parse(line.as_bytes()).ok()?;
+    let obj = doc.as_obj()?;
+    let text = |k: &str| obj.get(k)?.as_str();
+    let num = |k: &str| obj.get(k)?.as_num();
+    match text("t")? {
         "meta" => {
-            for (k, v) in &obj {
+            for (k, v) in obj {
                 if k != "t" {
-                    if let Val::Str(s) = v {
+                    if let Json::Str(s) = v {
                         data.meta.insert(k.clone(), s.clone());
                     }
                 }
             }
         }
         "counter" => {
-            let k = obj.get("k")?.as_str()?.to_string();
-            let v = obj.get("v")?.as_f64()?;
-            if v < 0.0 || v.is_nan() || v.fract() != 0.0 {
+            let k = text("k")?.to_string();
+            let v = num("v")?;
+            if v < 0.0 || v.fract() != 0.0 {
                 return None;
             }
             *data.counters.entry(k).or_insert(0) += v as u64;
         }
         "hist" => {
-            let k = obj.get("k")?.as_str()?.to_string();
             data.histograms.insert(
-                k,
+                text("k")?.to_string(),
                 Summary {
-                    count: obj.get("count")?.as_f64()? as usize,
-                    mean: obj.get("mean")?.as_f64()?,
-                    p50: obj.get("p50")?.as_f64()?,
-                    p95: obj.get("p95")?.as_f64()?,
-                    max: obj.get("max")?.as_f64()?,
+                    count: num("count")? as usize,
+                    mean: num("mean")?,
+                    p50: num("p50")?,
+                    p95: num("p95")?,
+                    max: num("max")?,
                 },
             );
         }
         "span" => {
             data.spans.push(JournalSpan {
-                name: obj.get("name")?.as_str()?.to_string(),
-                detail: obj
-                    .get("detail")
-                    .and_then(Val::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-                tid: obj.get("tid")?.as_f64()? as u64,
-                start_us: obj.get("start_us")?.as_f64()?,
-                dur_us: obj.get("dur_us")?.as_f64()?,
+                name: text("name")?.to_string(),
+                detail: text("detail").unwrap_or_default().to_string(),
+                tid: num("tid")? as u64,
+                start_us: num("start_us")?,
+                dur_us: num("dur_us")?,
             });
         }
         "event" => {
-            let kind = match obj.get("kind")?.as_str()? {
+            let kind = match text("kind")? {
                 "inject" => SimEventKind::MessageInjected,
                 "blocked" => SimEventKind::HeaderBlocked,
                 "acquire" => SimEventKind::LinkAcquired,
@@ -383,127 +361,16 @@ fn parse_line(line: &str, data: &mut JournalData) -> Option<()> {
                 _ => return None,
             };
             data.events.push(SimEvent {
-                time_us: obj.get("time_us")?.as_f64()?,
+                time_us: num("time_us")?,
                 kind,
-                message: obj.get("message")?.as_id()?,
-                invocation: obj.get("invocation")?.as_id()?,
-                channel: obj.get("channel")?.as_id()?,
+                message: as_id(obj.get("message")?)?,
+                invocation: as_id(obj.get("invocation")?)?,
+                channel: as_id(obj.get("channel")?)?,
             });
         }
         _ => return None,
     }
     Some(())
-}
-
-/// Parses one flat JSON object — string keys, scalar values (string,
-/// number, `null`) — the only shape the writer emits. Returns `None` on
-/// anything else, including trailing garbage.
-fn parse_flat_object(line: &str) -> Option<BTreeMap<String, Val>> {
-    let mut chars = line.char_indices().peekable();
-    let mut obj = BTreeMap::new();
-    skip_ws(&mut chars);
-    if chars.next()?.1 != '{' {
-        return None;
-    }
-    skip_ws(&mut chars);
-    if let Some(&(_, '}')) = chars.peek() {
-        chars.next();
-    } else {
-        loop {
-            skip_ws(&mut chars);
-            let key = parse_string(line, &mut chars)?;
-            skip_ws(&mut chars);
-            if chars.next()?.1 != ':' {
-                return None;
-            }
-            skip_ws(&mut chars);
-            let val = match chars.peek()?.1 {
-                '"' => Val::Str(parse_string(line, &mut chars)?),
-                'n' => {
-                    for expect in "null".chars() {
-                        if chars.next()?.1 != expect {
-                            return None;
-                        }
-                    }
-                    Val::Null
-                }
-                _ => {
-                    let start = chars.peek()?.0;
-                    let mut end = start;
-                    while let Some(&(i, c)) = chars.peek() {
-                        if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
-                            end = i + c.len_utf8();
-                            chars.next();
-                        } else {
-                            break;
-                        }
-                    }
-                    Val::Num(line[start..end].parse().ok()?)
-                }
-            };
-            obj.insert(key, val);
-            skip_ws(&mut chars);
-            match chars.next()?.1 {
-                ',' => continue,
-                '}' => break,
-                _ => return None,
-            }
-        }
-    }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return None; // trailing garbage
-    }
-    Some(obj)
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>) {
-    while let Some(&(_, c)) = chars.peek() {
-        if c.is_ascii_whitespace() {
-            chars.next();
-        } else {
-            break;
-        }
-    }
-}
-
-/// Parses a JSON string (cursor on the opening quote), decoding the escape
-/// set [`escape_json`] emits plus `\/`, `\b`, `\f`, and `\uXXXX`.
-fn parse_string(
-    line: &str,
-    chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-) -> Option<String> {
-    if chars.next()?.1 != '"' {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        let (_, c) = chars.next()?;
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()?.1 {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                '/' => out.push('/'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'b' => out.push('\u{0008}'),
-                'f' => out.push('\u{000c}'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        let (i, h) = chars.next()?;
-                        code =
-                            code * 16 + u32::from_str_radix(&line[i..i + h.len_utf8()], 16).ok()?;
-                    }
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
 }
 
 #[cfg(test)]

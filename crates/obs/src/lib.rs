@@ -25,6 +25,8 @@
 //! tracing / Perfetto JSON array format (load via `chrome://tracing`),
 //! [`MetricsRecorder::metrics_table`] a human-readable table, and
 //! [`MetricsRecorder::metrics_json`] a machine-readable summary for benches.
+//! Reading any of it back — and every other JSON document the workspace
+//! parses — goes through the one reader in [`json`].
 //!
 //! # Examples
 //!
@@ -47,6 +49,7 @@
 
 mod events;
 mod journal;
+pub mod json;
 mod oi;
 mod prometheus;
 
@@ -574,10 +577,10 @@ fn aggregate_spans(spans: &[SpanRecord], now: f64) -> BTreeMap<String, (usize, f
     agg
 }
 
-/// Escapes a string for inclusion inside JSON double quotes.
-///
-/// Public because every crate in the workspace hand-rolls its JSON (no
-/// serde); the serve daemon's protocol responses reuse this exact escaping.
+/// Escapes a string for inclusion inside JSON double quotes — the one
+/// escaper behind every format-string emitter in the workspace (traces,
+/// journals, protocol responses, bench artifacts). [`json::parse`] reads
+/// back exactly what went in.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -600,7 +603,7 @@ pub fn escape_json(s: &str) -> String {
 /// 0 / the largest finite magnitudes so output always parses).
 ///
 /// Public for the same reason as [`escape_json`]: one JSON number format
-/// across every hand-rolled emitter in the workspace.
+/// across every emitter in the workspace.
 pub fn json_num(v: f64) -> String {
     if v.is_nan() {
         "0".into()

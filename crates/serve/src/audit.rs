@@ -23,7 +23,8 @@
 use std::collections::BTreeMap;
 
 use crate::engine::{AdmitError, AdmitReport, Engine, Placement, Rejection, TenantSpec};
-use crate::json::{parse, Json};
+use crate::protocol::spec_members;
+use sr_obs::json::{parse, Json};
 use sr_obs::{escape_json, json_num, Recorder};
 use sr_topology::LinkId;
 
@@ -244,7 +245,11 @@ fn parse_record(obj: &BTreeMap<String, Json>) -> Result<AuditRecord, String> {
             .and_then(Json::as_num)
             .filter(|n| *n >= 0.0 && n.fract() == 0.0)
             .ok_or("missing integer member \"rungs_tried\"")? as usize;
-        rec.spec = Some(parse_spec_member(obj, &rec.tenant)?);
+        let spec = obj
+            .get("spec")
+            .and_then(Json::as_obj)
+            .ok_or("missing object member \"spec\"")?;
+        rec.spec = Some(spec_members(spec, &rec.tenant).map_err(|e| e.detail)?);
     }
     if op == AuditOp::Admit {
         rec.rung = get_str(obj, "rung")?.to_string();
@@ -255,43 +260,6 @@ fn parse_record(obj: &BTreeMap<String, Json>) -> Result<AuditRecord, String> {
         rec.spans_hash = Some(get_hash(obj, "spans_hash")?);
     }
     Ok(rec)
-}
-
-fn parse_spec_member(obj: &BTreeMap<String, Json>, tenant: &str) -> Result<TenantSpec, String> {
-    let spec = obj
-        .get("spec")
-        .and_then(Json::as_obj)
-        .ok_or("missing object member \"spec\"")?;
-    let tfg_text = spec
-        .get("tfg")
-        .and_then(Json::as_str)
-        .ok_or("spec missing string \"tfg\"")?
-        .to_string();
-    let placement = match spec.get("placement") {
-        Some(Json::Str(s)) => Placement::Strategy(s.clone()),
-        Some(Json::Arr(items)) => {
-            let mut nodes = Vec::with_capacity(items.len());
-            for item in items {
-                let n = item
-                    .as_num()
-                    .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                    .ok_or("spec placement nodes must be non-negative integers")?;
-                nodes.push(n as usize);
-            }
-            Placement::Nodes(nodes)
-        }
-        _ => return Err("spec missing \"placement\"".into()),
-    };
-    let best_effort = spec
-        .get("best_effort")
-        .and_then(Json::as_bool)
-        .unwrap_or(false);
-    Ok(TenantSpec {
-        name: tenant.to_string(),
-        tfg_text,
-        placement,
-        best_effort,
-    })
 }
 
 /// Re-drives one audit record against `engine` and verifies the outcome

@@ -27,10 +27,10 @@ use crate::audit::{
 use crate::engine::{AdmitError, AdmitReport, Engine, Rejection, TenantSpec};
 use crate::error::{ErrorKind, ServeError};
 use crate::http::{self, OpsState};
-use crate::json::parse;
 use crate::protocol::{
     admit_error, parse_request, render_admit, render_batch, render_list, render_query, Request,
 };
+use sr_obs::json::parse;
 use sr_obs::{escape_json, CounterSnapshot, JournalWriter, MetricsRecorder, Recorder};
 
 /// Maximum accepted frame payload, bytes (1 MiB).
@@ -534,6 +534,29 @@ mod tests {
         }
         let counters = d.recorder().counters();
         assert_eq!(counters["serve.requests"], 5);
+    }
+
+    /// A frame at the cap costs time proportional to its size: the daemon
+    /// is single-threaded, so a frame that stalls the reader stalls every
+    /// tenant's admission.
+    #[test]
+    fn max_size_frames_get_typed_errors_promptly() {
+        let mut d = daemon();
+        let head = r#"{"op":"admit","tenant":{"name":"big","placement":[0,1],"tfg":""#;
+        let tail = r#""}}"#;
+        let mut whole = String::from(head);
+        whole.push_str(&"task é 1 ".repeat((MAX_FRAME - head.len() - tail.len()) / 10));
+        whole.push_str(tail);
+        assert!(whole.len() > MAX_FRAME - 16 && whole.len() <= MAX_FRAME);
+        let torn = &whole[..whole.len() - tail.len()];
+        let t0 = std::time::Instant::now();
+        for (frame, kind) in [(whole.as_str(), "invalid_spec"), (torn, "malformed")] {
+            let (resp, shutdown) = d.handle_frame(frame.as_bytes());
+            assert!(!shutdown);
+            let want = format!("{{\"ok\":false,\"error\":{{\"kind\":\"{kind}\"");
+            assert!(resp.starts_with(&want), "got: {resp:.200}");
+        }
+        assert!(t0.elapsed().as_secs_f64() < 4.0, "took {:?}", t0.elapsed());
     }
 
     #[test]

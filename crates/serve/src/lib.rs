@@ -17,9 +17,10 @@
 //! * [`engine`] — [`Engine`]: the tenant table, the occupancy ledger, the
 //!   degradation ladder (fast → adapted → rerouted → best-effort →
 //!   reject), and the determinism memos;
-//! * [`json`] — a total, non-panicking JSON parser for request bytes;
 //! * [`error`] — the typed protocol error taxonomy ([`ErrorKind`]);
-//! * [`protocol`] — request parsing and deterministic response rendering;
+//! * [`protocol`] — request parsing (over the workspace's one JSON reader,
+//!   [`sr_obs::json`], re-exported here as [`parse`]/[`Json`]) and
+//!   deterministic response rendering;
 //! * [`daemon`] — [`Daemon`]: length-prefixed framing over stdio or a
 //!   Unix socket, plus `CounterSnapshot`-delta Prometheus scrapes;
 //! * [`http`] — the out-of-band exposition listener (`GET /metrics`,
@@ -45,7 +46,6 @@ pub mod daemon;
 pub mod engine;
 pub mod error;
 pub mod http;
-pub mod json;
 pub mod protocol;
 
 pub use audit::{
@@ -58,5 +58,5 @@ pub use engine::{
 };
 pub use error::{ErrorKind, ServeError};
 pub use http::OpsState;
-pub use json::{parse, Json, JsonError};
 pub use protocol::{parse_request, Request};
+pub use sr_obs::json::{parse, Json, JsonError};

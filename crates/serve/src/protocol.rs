@@ -35,7 +35,7 @@
 
 use crate::engine::{AdmitError, AdmitReport, Engine, Placement, Rejection, Tenant, TenantSpec};
 use crate::error::{ErrorKind, ServeError};
-use crate::json::Json;
+use sr_obs::json::Json;
 use sr_obs::{escape_json, json_num};
 
 /// A parsed protocol request.
@@ -144,8 +144,17 @@ fn parse_spec(doc: &Json) -> Result<TenantSpec, ServeError> {
     let name = obj
         .get("name")
         .and_then(Json::as_str)
-        .ok_or_else(|| ServeError::new(ErrorKind::InvalidSpec, "spec missing string \"name\""))?
-        .to_string();
+        .ok_or_else(|| ServeError::new(ErrorKind::InvalidSpec, "spec missing string \"name\""))?;
+    spec_members(obj, name)
+}
+
+/// Decodes the members a spec carries besides its name — the one decoder
+/// behind both request frames and audit records (whose `"spec"` member
+/// leaves the name to the record's `"tenant"`).
+pub(crate) fn spec_members(
+    obj: &std::collections::BTreeMap<String, Json>,
+    name: &str,
+) -> Result<TenantSpec, ServeError> {
     let tfg_text = obj
         .get("tfg")
         .and_then(Json::as_str)
@@ -183,7 +192,7 @@ fn parse_spec(doc: &Json) -> Result<TenantSpec, ServeError> {
         })?,
     };
     Ok(TenantSpec {
-        name,
+        name: name.to_string(),
         tfg_text,
         placement,
         best_effort,
@@ -286,7 +295,7 @@ pub fn render_list(engine: &Engine) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use sr_obs::json::parse;
 
     #[test]
     fn parses_each_op() {

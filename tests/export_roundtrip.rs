@@ -1,171 +1,39 @@
 //! Round-trip test for [`Schedule::to_json`]: parse the exported JSON back
-//! with a minimal hand-rolled parser (the export is dependency-free, so the
-//! check is too) and compare every field against the live schedule's
-//! summary and switching tables.
+//! with the workspace's reader (`sr::obs::json`) and compare every field
+//! against the live schedule's summary and switching tables.
 
-use std::collections::BTreeMap;
-
+use sr::obs::json::{parse, Json};
 use sr::prelude::*;
 use sr::tfg::MessageId;
 use sr::topology::NodeId;
 
-// ---------------------------------------------------------------------------
-// A tiny JSON reader, sufficient for the documented export shape: objects,
-// arrays, numbers, and plain strings (the export emits no escapes).
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
+/// Strict accessors over the shared reader's [`Json`]: the export's shape
+/// is documented, so a missing key or a wrong type is a test failure.
+trait Expect {
+    fn num(&self) -> f64;
+    fn str(&self) -> &str;
+    fn arr(&self) -> &[Json];
+    fn at(&self, key: &str) -> &Json;
 }
 
-impl Json {
+impl Expect for Json {
     fn num(&self) -> f64 {
-        match self {
-            Json::Num(x) => *x,
-            other => panic!("expected number, got {other:?}"),
-        }
+        self.as_num()
+            .unwrap_or_else(|| panic!("expected number, got {self:?}"))
     }
     fn str(&self) -> &str {
-        match self {
-            Json::Str(s) => s,
-            other => panic!("expected string, got {other:?}"),
-        }
+        self.as_str()
+            .unwrap_or_else(|| panic!("expected string, got {self:?}"))
     }
     fn arr(&self) -> &[Json] {
-        match self {
-            Json::Arr(v) => v,
-            other => panic!("expected array, got {other:?}"),
-        }
+        self.as_arr()
+            .unwrap_or_else(|| panic!("expected array, got {self:?}"))
     }
-    fn get(&self, key: &str) -> &Json {
-        match self {
-            Json::Obj(m) => m.get(key).unwrap_or_else(|| panic!("missing key {key}")),
-            other => panic!("expected object, got {other:?}"),
-        }
+    fn at(&self, key: &str) -> &Json {
+        self.get(key)
+            .unwrap_or_else(|| panic!("missing key {key} in {self:?}"))
     }
 }
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn parse(text: &'a str) -> Json {
-        let mut p = Parser {
-            s: text.as_bytes(),
-            i: 0,
-        };
-        let v = p.value();
-        p.skip_ws();
-        assert_eq!(p.i, p.s.len(), "trailing garbage at byte {}", p.i);
-        v
-    }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) {
-        self.skip_ws();
-        assert_eq!(
-            self.s.get(self.i),
-            Some(&c),
-            "expected '{}' at byte {}",
-            c as char,
-            self.i
-        );
-        self.i += 1;
-    }
-
-    fn value(&mut self) -> Json {
-        self.skip_ws();
-        match self.s[self.i] {
-            b'{' => {
-                self.i += 1;
-                let mut m = BTreeMap::new();
-                self.skip_ws();
-                if self.s[self.i] == b'}' {
-                    self.i += 1;
-                    return Json::Obj(m);
-                }
-                loop {
-                    let key = match self.value() {
-                        Json::Str(k) => k,
-                        other => panic!("non-string key {other:?}"),
-                    };
-                    self.eat(b':');
-                    m.insert(key, self.value());
-                    self.skip_ws();
-                    match self.s[self.i] {
-                        b',' => self.i += 1,
-                        b'}' => {
-                            self.i += 1;
-                            return Json::Obj(m);
-                        }
-                        c => panic!("unexpected '{}' in object", c as char),
-                    }
-                }
-            }
-            b'[' => {
-                self.i += 1;
-                let mut v = Vec::new();
-                self.skip_ws();
-                if self.s[self.i] == b']' {
-                    self.i += 1;
-                    return Json::Arr(v);
-                }
-                loop {
-                    v.push(self.value());
-                    self.skip_ws();
-                    match self.s[self.i] {
-                        b',' => self.i += 1,
-                        b']' => {
-                            self.i += 1;
-                            return Json::Arr(v);
-                        }
-                        c => panic!("unexpected '{}' in array", c as char),
-                    }
-                }
-            }
-            b'"' => {
-                self.i += 1;
-                let start = self.i;
-                while self.s[self.i] != b'"' {
-                    self.i += 1;
-                }
-                let s = std::str::from_utf8(&self.s[start..self.i]).unwrap().into();
-                self.i += 1;
-                Json::Str(s)
-            }
-            _ => {
-                let start = self.i;
-                while self.i < self.s.len()
-                    && matches!(
-                        self.s[self.i],
-                        b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-                    )
-                {
-                    self.i += 1;
-                }
-                Json::Num(
-                    std::str::from_utf8(&self.s[start..self.i])
-                        .unwrap()
-                        .parse()
-                        .unwrap_or_else(|_| panic!("bad number at byte {start}")),
-                )
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 
 fn compiled() -> (TaskFlowGraph, Schedule) {
     let topo = GeneralizedHypercube::binary(4).unwrap();
@@ -187,19 +55,19 @@ fn compiled() -> (TaskFlowGraph, Schedule) {
 #[test]
 fn json_roundtrips_against_the_live_schedule() {
     let (tfg, sched) = compiled();
-    let doc = Parser::parse(&sched.to_json());
+    let doc = parse(sched.to_json().as_bytes()).expect("export parses");
 
     // Scalars.
-    assert_eq!(doc.get("period_us").num(), sched.period());
-    assert_eq!(doc.get("latency_us").num(), sched.latency());
-    assert_eq!(doc.get("guard_time_us").num(), sched.guard_time());
-    assert_eq!(doc.get("peak_utilization").num(), sched.peak_utilization());
+    assert_eq!(doc.at("period_us").num(), sched.period());
+    assert_eq!(doc.at("latency_us").num(), sched.latency());
+    assert_eq!(doc.at("guard_time_us").num(), sched.guard_time());
+    assert_eq!(doc.at("peak_utilization").num(), sched.peak_utilization());
 
     // Messages: one entry per message, path and segments verbatim.
-    let messages = doc.get("messages").arr();
+    let messages = doc.at("messages").arr();
     assert_eq!(messages.len(), tfg.num_messages());
     for (i, m) in messages.iter().enumerate() {
-        assert_eq!(m.get("id").num() as usize, i);
+        assert_eq!(m.at("id").num() as usize, i);
         let id = MessageId(i);
         let want_path: Vec<f64> = sched
             .assignment()
@@ -208,7 +76,7 @@ fn json_roundtrips_against_the_live_schedule() {
             .iter()
             .map(|n| n.index() as f64)
             .collect();
-        let got_path: Vec<f64> = m.get("path").arr().iter().map(Json::num).collect();
+        let got_path: Vec<f64> = m.at("path").arr().iter().map(Expect::num).collect();
         assert_eq!(got_path, want_path, "path of M{i}");
         let want_segs: Vec<(f64, f64)> = sched
             .segments()
@@ -217,7 +85,7 @@ fn json_roundtrips_against_the_live_schedule() {
             .map(|s| (s.start, s.end))
             .collect();
         let got_segs: Vec<(f64, f64)> = m
-            .get("segments")
+            .at("segments")
             .arr()
             .iter()
             .map(|pair| (pair.arr()[0].num(), pair.arr()[1].num()))
@@ -226,23 +94,23 @@ fn json_roundtrips_against_the_live_schedule() {
     }
 
     // Nodes: array index == node id, commands match the switching tables.
-    let nodes = doc.get("nodes").arr();
+    let nodes = doc.at("nodes").arr();
     assert_eq!(nodes.len(), sched.node_schedules().len());
     let port = |p: sr::core::Port| match p {
         sr::core::Port::Processor => "processor".to_string(),
         sr::core::Port::Link(l) => format!("link:{}", l.index()),
     };
     for (n, entry) in nodes.iter().enumerate() {
-        assert_eq!(entry.get("node").num() as usize, n);
+        assert_eq!(entry.at("node").num() as usize, n);
         let ns = sched.node_schedule(NodeId(n));
-        let cmds = entry.get("commands").arr();
+        let cmds = entry.at("commands").arr();
         assert_eq!(cmds.len(), ns.commands().len(), "command count on N{n}");
         for (c, want) in cmds.iter().zip(ns.commands()) {
-            assert_eq!(c.get("start").num(), want.start);
-            assert_eq!(c.get("end").num(), want.end);
-            assert_eq!(c.get("from").str(), port(want.connection.from));
-            assert_eq!(c.get("to").str(), port(want.connection.to));
-            assert_eq!(c.get("message").num() as usize, want.message.index());
+            assert_eq!(c.at("start").num(), want.start);
+            assert_eq!(c.at("end").num(), want.end);
+            assert_eq!(c.at("from").str(), port(want.connection.from));
+            assert_eq!(c.at("to").str(), port(want.connection.to));
+            assert_eq!(c.at("message").num() as usize, want.message.index());
         }
     }
 }
@@ -256,10 +124,10 @@ fn number_formats_are_lossless() {
     let (_, sched) = compiled();
     let json = sched.to_json();
     assert!(json.contains("\"period_us\":80.0"), "integral format");
-    let doc = Parser::parse(&json);
+    let doc = parse(json.as_bytes()).expect("export parses");
     // An LP-derived fractional quantity survives the round trip bit-exactly.
     assert_eq!(
-        doc.get("latency_us").num().to_bits(),
+        doc.at("latency_us").num().to_bits(),
         sched.latency().to_bits()
     );
 }

@@ -3,9 +3,14 @@
 //! bit-identical timestamps, identical report — and a journal written from
 //! a truncated ring (overflowed [`RingEventSink`]) must replay into the
 //! analyzer without panics. A property test pins the ring's newest-wins
-//! retention with `NO_ID` sentinels through wraparound.
+//! retention with `NO_ID` sentinels through wraparound. The reader under
+//! all of it, `sr::obs::json`, gets a seeded hostile-input sweep over the
+//! documents it reads in production (protocol frames, journal lines,
+//! metrics baselines) and an escape round-trip property.
 
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
+use sr::obs::json::{parse, Json};
 use sr::prelude::*;
 
 const PERIOD: f64 = 120.0;
@@ -130,7 +135,113 @@ fn truncated_ring_journal_feeds_analyzer_without_panics() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The reader answers any bytes with a value or an error located inside
+/// the input — never a panic.
+fn reader_is_total(bytes: &[u8]) {
+    if let Err(e) = parse(bytes) {
+        let len = bytes.len();
+        assert!(e.offset <= len, "{e} past a {len}-byte input");
+    }
+}
+
+/// Runs `check` on every strict prefix of `doc` and on every single-byte
+/// corruption of it (one seeded replacement per offset).
+fn sweep_truncations_and_flips(doc: &[u8], rng: &mut StdRng, check: impl Fn(&[u8])) {
+    let mut flipped = doc.to_vec();
+    for i in 0..doc.len() {
+        check(&doc[..i]);
+        flipped[i] ^= rng.gen_range(1..=255u8);
+        check(&flipped);
+        flipped[i] = doc[i];
+    }
+}
+
+/// The documents the one reader meets in production, damaged at every
+/// byte.
+#[test]
+fn reader_is_total_on_damaged_frames_journals_and_baselines() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_1991);
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+
+    let session = std::fs::read_to_string(format!("{root}/tests/golden/serve_session.txt"))
+        .expect("golden session exists");
+    for frame in session.lines() {
+        sweep_truncations_and_flips(frame.as_bytes(), &mut rng, reader_is_total);
+    }
+
+    let path = tmp_path("hostile");
+    let _ = std::fs::remove_file(&path);
+    let rec = MetricsRecorder::new();
+    rec.add("sim.outputs", 42);
+    rec.observe("demo.latency_us", 2.5);
+    drop(sr::obs::span_with(&rec, "phase.demo", || {
+        "tab\there".into()
+    }));
+    let mut w = JournalWriter::create(&path, sr::obs::DEFAULT_MAX_BYTES).unwrap();
+    w.meta(&[("command", "sim \"quoted\" \\ é\n"), ("period_us", "100")])
+        .unwrap();
+    w.recorder(&rec).unwrap();
+    w.events(&[
+        SimEvent {
+            time_us: 0.1 + 0.2,
+            kind: SimEventKind::LinkAcquired,
+            message: 3,
+            invocation: 0,
+            channel: 17,
+        },
+        SimEvent {
+            time_us: 97.25,
+            kind: SimEventKind::OutputProduced,
+            message: NO_ID,
+            invocation: 2,
+            channel: NO_ID,
+        },
+    ])
+    .unwrap();
+    w.flush().unwrap();
+    let journal = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(parse_journal(&journal).skipped, 0);
+    assert_eq!(journal.lines().count(), 6);
+    for line in journal.lines() {
+        // The journal's line reader sits on the same parser.
+        sweep_truncations_and_flips(line.as_bytes(), &mut rng, |bytes| {
+            reader_is_total(bytes);
+            if let Ok(text) = std::str::from_utf8(bytes) {
+                let _ = parse_journal(text);
+            }
+        });
+    }
+
+    for workload in ["torus4x4_dvb", "scale16_dvb", "serve"] {
+        let baseline = std::fs::read(format!("{root}/results/metrics_baseline_{workload}.json"))
+            .expect("baseline exists");
+        assert!(parse(&baseline).is_ok());
+        sweep_truncations_and_flips(&baseline, &mut rng, reader_is_total);
+    }
+}
+
+/// A scalar value from every class the escaper and the reader treat
+/// differently: ASCII (controls included), the escaped set, any plane.
+fn char_of(x: u32) -> char {
+    match x >> 30 {
+        0 => char::from(x as u8 & 0x7f),
+        1 => ['"', '\\', '/', '\n', '\r', '\t', '\0', '\u{1f}'][x as usize % 8],
+        _ => char::from_u32(x % 0x11_0000).unwrap_or('\u{fffd}'),
+    }
+}
+
 proptest! {
+    /// What `escape_json` writes, the reader gives back — for any string.
+    #[test]
+    fn escaped_strings_parse_back_to_the_input(
+        words in prop::collection::vec(any::<u32>(), 0..96),
+    ) {
+        let s: String = words.iter().copied().map(char_of).collect();
+        let doc = format!("\"{}\"", sr::obs::escape_json(&s));
+        prop_assert_eq!(parse(doc.as_bytes()), Ok(Json::Str(s)));
+    }
+
     /// Newest-wins retention: for any event sequence (including `NO_ID`
     /// sentinel fields) and any capacity, the ring retains exactly the
     /// last `min(n, capacity)` events in order, counts the overwrites,

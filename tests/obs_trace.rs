@@ -66,170 +66,12 @@ fn two_cube_compile_matches_golden_span_structure() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// A tiny recursive-descent JSON validator — enough to prove the trace is
-// well-formed without pulling in a JSON dependency.
-// ---------------------------------------------------------------------------
-
-struct Json<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Json<'a> {
-    fn new(s: &'a str) -> Self {
-        Json {
-            b: s.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string().map(|_| ()),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.i)),
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        self.ws();
-        if self.b[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(())
-        } else {
-            Err(format!("expected {lit} at byte {}", self.i))
-        }
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        self.ws();
-        let start = self.i;
-        while self.i < self.b.len()
-            && matches!(
-                self.b[self.i],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|v| v.is_finite())
-            .map(|_| ())
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        while let Some(&c) = self.b.get(self.i) {
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self.b.get(self.i).ok_or("truncated escape")?;
-                    self.i += 1;
-                    match esc {
-                        b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't' => {
-                            out.push(esc as char)
-                        }
-                        b'u' => {
-                            self.i += 4;
-                            out.push('?');
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.i)),
-                    }
-                }
-                _ => out.push(c as char),
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.eat(b'{')?;
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.string()?;
-            self.eat(b':')?;
-            self.value()?;
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("bad object at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.eat(b'[')?;
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.value()?;
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("bad array at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn document(mut self) -> Result<(), String> {
-        self.value()?;
-        self.ws();
-        if self.i == self.b.len() {
-            Ok(())
-        } else {
-            Err(format!("trailing bytes at {}", self.i))
-        }
-    }
-}
-
 #[test]
 fn chrome_trace_is_well_formed_json() {
     let (rec, _) = compile_2cube_recorded();
     let json = rec.chrome_trace_json();
 
-    Json::new(&json).document().expect("trace parses as JSON");
+    sr::obs::json::parse(json.as_bytes()).expect("trace parses as JSON");
 
     // Structural spot checks: the container keys, the process-name
     // metadata event, and complete events carrying timestamps/durations.
@@ -305,7 +147,7 @@ fn noop_recorder_emits_nothing() {
     // no complete events) and no counters.
     let rec = MetricsRecorder::new();
     let json = rec.chrome_trace_json();
-    Json::new(&json).document().expect("empty trace parses");
+    sr::obs::json::parse(json.as_bytes()).expect("empty trace parses");
     assert!(!json.contains("\"ph\":\"X\""));
     assert!(rec.counters().is_empty());
 }

@@ -191,6 +191,55 @@ fn torn_final_line_reports_the_tear_and_verifies_the_prefix() {
     clean(&journal);
 }
 
+/// Audit records go through the protocol's spec decoder: a node id that is
+/// no node id, or a `best_effort` that is no boolean, makes the line
+/// invalid — reported like a tear, never re-driven as some other spec.
+#[test]
+fn invalid_spec_in_a_record_is_reported_and_the_prefix_verifies() {
+    for (name, from, to, why) in [
+        (
+            "badnode",
+            "\"placement\":[10,11]",
+            "\"placement\":[1e300]",
+            "is not a valid node id",
+        ),
+        (
+            "badflag",
+            "\"best_effort\":false}}",
+            "\"best_effort\":\"yes\"}}",
+            "\"best_effort\" must be a boolean",
+        ),
+    ] {
+        let journal = tmp_path(name);
+        clean(&journal);
+        let mut daemon = Daemon::new(engine());
+        daemon.attach_journal(&journal, META).expect("journal");
+        for i in 0..6 {
+            ok_frame(&mut daemon, &admit_req(i));
+        }
+        drop(daemon);
+
+        let text = std::fs::read_to_string(&journal).expect("journal exists");
+        let last_start = text.trim_end().rfind('\n').expect("several lines") + 1;
+        let damaged = text[last_start..].replace(from, to);
+        assert_ne!(
+            damaged,
+            text[last_start..],
+            "the last record carries {from}"
+        );
+        std::fs::write(&journal, format!("{}{damaged}", &text[..last_start])).expect("rewrites");
+
+        let out = replay(&journal).expect("prefix still verifies");
+        assert!(out.contains("torn line 7 of 7"), "{out}");
+        assert!(out.contains(why), "{out}");
+        assert!(
+            out.contains("5 ops verified bit-identical (5 admits, 0 evicts, 0 rejects)"),
+            "{out}"
+        );
+        clean(&journal);
+    }
+}
+
 #[test]
 fn rotated_journal_is_stitched_from_the_previous_chunk() {
     let journal = tmp_path("rotated");
