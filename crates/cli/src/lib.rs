@@ -1099,7 +1099,10 @@ fn engine_from_meta(
 }
 
 /// The `serve-replay` subcommand: re-drive a fresh engine from an audit
-/// journal and verify every recorded outcome bit-for-bit. A rotated
+/// journal and verify every recorded outcome bit-for-bit — after each op
+/// the ledger is recomputed from the tenant table, compared with the
+/// engine's maintained rows and the journaled hash, and the whole-table
+/// invariants are checked (`apply_record`). A rotated
 /// journal is stitched back together from `<FILE>.1` + `<FILE>`; a torn
 /// final line (crash mid-write) is reported and the intact prefix still
 /// verifies. Any divergence is an error (nonzero exit).
@@ -1172,6 +1175,10 @@ fn run_serve_replay(path: &str, out: &mut dyn fmt::Write) -> Result<(), Box<dyn 
         admits + evicts + rejects,
         eng.tenants().count(),
         ledger_hash(&eng)
+    )?;
+    writeln!(
+        out,
+        "serve-replay: ledger recomputed and invariants checked after every op"
     )?;
     Ok(())
 }

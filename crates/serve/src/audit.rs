@@ -53,9 +53,11 @@ pub fn spans_hash(spans: &BTreeMap<LinkId, Vec<(f64, f64)>>) -> u64 {
     h
 }
 
-/// The ledger fingerprint: [`spans_hash`] of [`Engine::ledger`].
+/// The ledger fingerprint: [`spans_hash`] of the maintained ledger, hashed
+/// in place. Whole, not rolling: a journaled hash then depends on the
+/// ledger alone, never on the order of the ops that built it.
 pub fn ledger_hash(engine: &Engine) -> u64 {
-    spans_hash(&engine.ledger())
+    spans_hash(engine.maintained_ledger())
 }
 
 /// Renders a tenant spec as the audit `"spec"` member.
@@ -268,6 +270,11 @@ fn parse_record(obj: &BTreeMap<String, Json>) -> Result<AuditRecord, String> {
 /// fingerprint), rejects must reject (same rungs tried, same ledger
 /// fingerprint).
 ///
+/// The ledger compared is the one *recomputed* from the tenant table
+/// ([`Engine::ledger`]), which must also equal the maintained rows and
+/// pass [`Engine::check_invariants`] — so every audited op tests the
+/// daemon's maintained state against the specification.
+///
 /// # Errors
 ///
 /// A description of the first divergence between the journal and the
@@ -342,7 +349,17 @@ pub fn apply_record(
             }
         }
     }
-    let ledger = ledger_hash(engine);
+    let recomputed = engine.ledger();
+    if recomputed != *engine.maintained_ledger() {
+        return Err(format!(
+            "{:?} \"{}\": maintained ledger diverged from its recompute",
+            r.op, r.tenant
+        ));
+    }
+    engine
+        .check_invariants()
+        .map_err(|e| format!("{:?} \"{}\": {e}", r.op, r.tenant))?;
+    let ledger = spans_hash(&recomputed);
     if ledger != r.ledger_hash {
         return Err(format!(
             "{:?} \"{}\": ledger diverged (journal {:016x}, replay {ledger:016x})",

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use crate::audit::{
     ledger_hash, render_admit_record, render_evict_record, render_reject_record, spans_hash,
 };
-use crate::engine::{AdmitError, AdmitReport, Engine, Rejection, TenantSpec};
+use crate::engine::{AdmitError, AdmitReport, Engine, EvictError, Rejection, TenantSpec};
 use crate::error::{ErrorKind, ServeError};
 use crate::http::{self, OpsState};
 use crate::protocol::{
@@ -335,7 +335,13 @@ impl Daemon {
                             false,
                         )
                     }
-                    Err(detail) => self.fail(ServeError::new(ErrorKind::UnknownTenant, detail)),
+                    Err(e) => {
+                        let kind = match e {
+                            EvictError::UnknownTenant(_) => ErrorKind::UnknownTenant,
+                            EvictError::Internal(_) => ErrorKind::Internal,
+                        };
+                        self.fail(ServeError::new(kind, e.to_string()))
+                    }
                 }
             }
             Request::Query(name) => match self.engine.tenant(&name) {

@@ -8,14 +8,21 @@
 //! model. A tenant's canonical state is its **standalone compile** — the
 //! schedule its TFG would get on an empty network — plus the absolute
 //! link-time spans that schedule occupies. The daemon's only allocator
-//! state is the **ledger**: the union of admitted tenants' spans per link,
-//! rebuilt deterministically from the tenant table. Admission is the
-//! fault-repair generalization from "links disappeared" to "messages
-//! arrived": the new tenant's rows are (re-)derived against reserved
-//! capacity, and **no admitted tenant's schedule is ever touched** — their
-//! rows stay pinned bit-identically by construction, and
-//! [`Engine::check_invariants`] verifies (rather than assumes) it after
-//! every mutation.
+//! state is the **ledger**: the union of admitted tenants' spans per link.
+//! Its *specification* is a pure function of the tenant table
+//! ([`Engine::ledger`]); its *implementation* is a set of maintained rows
+//! ([`Engine::maintained_ledger`]) that an install extends and an eviction
+//! shrinks by exactly the moving tenant's spans, equal to the recompute at
+//! all times. Admission is the fault-repair generalization from "links
+//! disappeared" to "messages arrived": the new tenant's rows are
+//! (re-)derived against reserved capacity, and **no admitted tenant's
+//! schedule is ever touched** — their rows stay pinned bit-identically by
+//! construction, and the install check verifies (rather than assumes) it
+//! before every commit: residents are immutable and already satisfy the
+//! contract, so checking the arriving tenant against its neighbours on each
+//! row is as strong as [`Engine::check_invariants`] over the whole table.
+//! Debug builds and `serve-replay` run the whole-table check and the
+//! recompute after every mutation anyway.
 //!
 //! # Admission ladder
 //!
@@ -38,9 +45,9 @@
 //!    the standalone compile itself failed, and the tenant-path ledger
 //!    saturation otherwise.
 //!
-//! Eviction removes the tenant from the table; because the ledger is a
-//! pure function of the table, the allocator state is bit-identical to
-//! never having admitted the tenant. Per-tenant memos (standalone compile,
+//! Eviction removes the tenant from the table and exactly its spans from
+//! the maintained rows, so the allocator state is bit-identical to never
+//! having admitted the tenant. Per-tenant memos (standalone compile,
 //! simplex bases, last admission result) survive eviction — they are
 //! caches, not allocator state, and make evict-then-readmit reproduce the
 //! original admission exactly when the ledger is unchanged.
@@ -82,10 +89,10 @@ pub struct ServeConfig {
     /// Worker threads for batch-admission standalone compiles (`0` = one
     /// per hardware thread, `1` = serial).
     pub batch_threads: usize,
-    /// Verify ledger invariants after every mutation (cross-tenant overlap
-    /// freedom + span/schedule consistency). Cheap at daemon scale; admits
-    /// that would violate pinning are rolled back and reported as internal
-    /// errors instead of corrupting the ledger.
+    /// Verify the pinning contract at install (cross-tenant overlap
+    /// freedom + span/schedule consistency of the arriving tenant). Admits
+    /// that would violate pinning are refused before anything is committed
+    /// and reported as internal errors instead of corrupting the ledger.
     pub paranoid: bool,
 }
 
@@ -224,9 +231,28 @@ pub enum AdmitError {
     InvalidSpec(String),
     /// The ladder was exhausted.
     Infeasible(Rejection),
-    /// An invariant check failed after install; the admission was rolled
-    /// back.
+    /// The install check refused the tenant; nothing was committed.
     Internal(String),
+}
+
+/// Why [`Engine::evict`] failed. Either way the table, the ledger and the
+/// memos are as they were.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EvictError {
+    /// No tenant with this name is admitted.
+    UnknownTenant(String),
+    /// A span of the departing tenant is not in the maintained ledger — a
+    /// bug in this program, surfaced instead of half-applied.
+    Internal(String),
+}
+
+impl std::fmt::Display for EvictError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EvictError::UnknownTenant(name) => write!(f, "no tenant named \"{name}\""),
+            EvictError::Internal(detail) => f.write_str(detail),
+        }
+    }
 }
 
 /// Structured rejection detail for the `infeasible` error response.
@@ -279,7 +305,7 @@ impl LadderTimer {
 /// admitted against a bit-identical ledger.
 #[derive(Debug, Clone)]
 struct LastResult {
-    ledger: BTreeMap<LinkId, Vec<(f64, f64)>>,
+    ledger: Spans,
     tenant: Tenant,
     rung: AdmitRung,
     scale: f64,
@@ -309,6 +335,8 @@ pub struct Engine {
     topo: Box<dyn Topology>,
     cfg: ServeConfig,
     tenants: BTreeMap<String, Tenant>,
+    /// The maintained ledger: `== self.ledger()` after every mutation.
+    live: Spans,
     memo: BTreeMap<String, MemoEntry>,
     admit_seq: u64,
     memo_clock: u64,
@@ -321,6 +349,7 @@ impl Engine {
             topo,
             cfg,
             tenants: BTreeMap::new(),
+            live: Spans::new(),
             memo: BTreeMap::new(),
             admit_seq: 0,
             memo_clock: 0,
@@ -347,10 +376,12 @@ impl Engine {
         self.tenants.values()
     }
 
-    /// The ledger: every admitted tenant's occupancy merged, per link,
-    /// sorted by span start. A pure function of the tenant table — this is
-    /// the *entire* allocator state, which is what makes eviction restore
-    /// it bit-identically to never having admitted the tenant.
+    /// The ledger recomputed: every admitted tenant's occupancy merged,
+    /// per link, sorted by span start. A pure function of the tenant table
+    /// — the *specification* of the allocator state, which is what makes
+    /// eviction restore it bit-identically to never having admitted the
+    /// tenant. The hot path reads [`Engine::maintained_ledger`]; this is
+    /// what debug builds, tests and `serve-replay` hold it to.
     pub fn ledger(&self) -> BTreeMap<LinkId, Vec<(f64, f64)>> {
         let mut out: BTreeMap<LinkId, Vec<(f64, f64)>> = BTreeMap::new();
         for t in self.tenants.values() {
@@ -359,9 +390,22 @@ impl Engine {
             }
         }
         for spans in out.values_mut() {
-            spans.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+            spans.sort_by(cmp_span);
         }
         out
+    }
+
+    /// The ledger as maintained state: the rows `install` extends and
+    /// `evict` shrinks, equal to [`Engine::ledger`] after every mutation.
+    pub fn maintained_ledger(&self) -> &BTreeMap<LinkId, Vec<(f64, f64)>> {
+        &self.live
+    }
+
+    /// Debug builds hold the maintained rows to the specification after
+    /// every mutation; release builds leave that to `serve-replay`.
+    fn debug_check(&self) {
+        debug_assert_eq!(self.live, self.ledger(), "maintained ledger diverged");
+        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
     /// Admits one tenant through the degradation ladder.
@@ -375,7 +419,7 @@ impl Engine {
     /// # Errors
     ///
     /// [`AdmitError`] — duplicate name, invalid spec, ladder exhausted, or
-    /// a rolled-back invariant violation.
+    /// an install the pinning check refused.
     pub fn admit(
         &mut self,
         spec: &TenantSpec,
@@ -440,7 +484,7 @@ impl Engine {
             1,
         );
         timer.lap("compile");
-        let ledger = self.ledger();
+        let ledger = &self.live;
         let guard = self.cfg.compile.guard_time;
 
         // Replay: identical spec against a bit-identical ledger reproduces
@@ -448,7 +492,7 @@ impl Engine {
         // determinism guarantee).
         let entry = self.memo.get(&spec.name).expect("memoized above");
         if let Some(last) = &entry.last {
-            if last.ledger == ledger {
+            if last.ledger == *ledger {
                 rec.add("serve.admit.replayed", 1);
                 let mut tenant = last.tenant.clone();
                 let (rung, scale) = (last.rung, last.scale);
@@ -462,7 +506,7 @@ impl Engine {
         // Rung 1: fast path — the standalone schedule fits verbatim.
         if let Some(sched) = entry.schedule.clone() {
             let spans = spans_of_schedule(&sched);
-            let fits_verbatim = fits(&spans, &ledger, guard);
+            let fits_verbatim = fits(&spans, ledger, guard);
             timer.lap("fast");
             if fits_verbatim {
                 rec.add("serve.admit.fast", 1);
@@ -492,7 +536,7 @@ impl Engine {
                 sched.assignment(),
                 &affected,
                 &BTreeSet::new(),
-                &ledger,
+                ledger,
                 &scales,
                 self.cfg.compile.alloc_engine,
                 &mut entry.cache,
@@ -526,7 +570,7 @@ impl Engine {
             }
 
             // Rung 3: re-route around hot links, then re-derive.
-            let rerouted = self.try_reroute(&sched, &ledger, rec);
+            let rerouted = self.try_reroute(&sched, ledger, rec);
             timer.lap("reroute");
             if let Some((rerouted, scale)) = rerouted {
                 rec.add("serve.admit.rerouted", 1);
@@ -552,7 +596,7 @@ impl Engine {
         let entry = self.memo.get(&spec.name).expect("memoized above");
         if spec.best_effort {
             if let Some(sched) = &entry.schedule {
-                let grants = self.try_best_effort(sched, &ledger);
+                let grants = self.try_best_effort(sched, ledger);
                 timer.lap("best_effort");
                 if let Some((grants, spans)) = grants {
                     rec.add("serve.admit.best_effort", 1);
@@ -591,7 +635,7 @@ impl Engine {
             );
             rejection.rungs_tried = if spec.best_effort { 4 } else { 3 };
             if let Some(sched) = &entry.schedule {
-                rejection.saturated = self.saturation(sched, &ledger);
+                rejection.saturated = self.saturation(sched, ledger);
             }
         }
         Err(AdmitError::Infeasible(rejection))
@@ -661,27 +705,50 @@ impl Engine {
     }
 
     /// Evicts a tenant, restoring the ledger to a state bit-identical to
-    /// never having admitted it (the ledger is derived from the tenant
-    /// table alone). The tenant's memos survive for cheap re-admission.
+    /// never having admitted it: exactly the tenant's spans leave the
+    /// maintained rows, and a row left empty is dropped. All-or-nothing —
+    /// every departing span is located before anything is removed. The
+    /// tenant's memos survive for cheap re-admission.
     ///
     /// # Errors
     ///
-    /// The tenant name, when no such tenant is admitted.
-    pub fn evict(&mut self, name: &str, rec: &dyn Recorder) -> Result<(), String> {
+    /// [`EvictError`] — no such tenant, or a span of it missing from the
+    /// ledger; either way nothing was changed.
+    pub fn evict(&mut self, name: &str, rec: &dyn Recorder) -> Result<(), EvictError> {
         let t0 = rec.enabled().then(std::time::Instant::now);
         let _span = span_with(rec, "serve.evict", || name.to_string());
-        if self.tenants.remove(name).is_none() {
-            return Err(format!("no tenant named \"{name}\""));
-        }
-        rec.add("serve.evict", 1);
-        if self.cfg.paranoid {
-            if let Err(e) = self.check_invariants() {
-                // Unreachable unless a Tenant was mutated externally;
-                // surface loudly but do not panic (protocol contract).
+        let Some(tenant) = self.tenants.get(name) else {
+            return Err(EvictError::UnknownTenant(name.to_string()));
+        };
+        let mut departing: Vec<(LinkId, Vec<usize>)> = Vec::with_capacity(tenant.spans.len());
+        for (&l, spans) in &tenant.spans {
+            let found = self.live.get(&l).and_then(|row| locate(row, spans));
+            let Some(at) = found else {
+                // Unreachable unless the ledger was corrupted; surface
+                // loudly but do not panic (protocol contract).
                 rec.add("serve.invariant_violations", 1);
-                return Err(format!("post-eviction invariant violation: {e}"));
-            }
+                return Err(EvictError::Internal(format!(
+                    "eviction of \"{name}\" refused: its spans on link {l} are not in the ledger"
+                )));
+            };
+            departing.push((l, at));
         }
+        let mut moved = 0;
+        for (l, at) in &departing {
+            let row = self.live.get_mut(l).expect("located above");
+            for &i in at.iter().rev() {
+                row.remove(i);
+            }
+            if row.is_empty() {
+                self.live.remove(l);
+            }
+            moved += at.len();
+        }
+        self.tenants.remove(name);
+        rec.add("serve.evict", 1);
+        rec.add("serve.ledger.spans_moved", moved as u64);
+        rec.add("serve.ledger.rows_touched", departing.len() as u64);
+        self.debug_check();
         if let Some(t0) = t0 {
             rec.observe("serve.evict_latency", t0.elapsed().as_secs_f64() * 1e6);
         }
@@ -834,9 +901,51 @@ impl Engine {
         }
     }
 
-    /// Commits an admission: stores the tenant, verifies the pinning
-    /// contract (rolling back on violation), memoizes the result for
-    /// replay, and builds the report.
+    /// The pinning contract for one arriving tenant, checked against the
+    /// maintained rows before anything is committed: its spans are the
+    /// spans of its schedule, and each clears the resident span before and
+    /// after it on its link. Residents cannot change behind `&Tenant`, the
+    /// empty table satisfies [`Engine::check_invariants`] and eviction only
+    /// removes, so by induction this refuses exactly what the whole-table
+    /// check would refuse after the insert.
+    fn check_arrival(&self, tenant: &Tenant) -> Result<(), String> {
+        if let Some(s) = &tenant.schedule {
+            if spans_of_schedule(s) != tenant.spans {
+                return Err(format!(
+                    "tenant \"{}\" spans diverge from its schedule",
+                    tenant.name
+                ));
+            }
+        }
+        for (l, mine) in &tenant.spans {
+            let Some(row) = self.live.get(l) else {
+                continue;
+            };
+            for span in mine {
+                let at = row.partition_point(|r| cmp_span(r, span).is_lt());
+                // (end of the earlier span, start of the later one) for the
+                // resident on either side of the arriving span's place.
+                let neighbours = [
+                    at.checked_sub(1).map(|i| (row[i].1, span.0)),
+                    row.get(at).map(|next| (span.1, next.0)),
+                ];
+                for (e0, s1) in neighbours.into_iter().flatten() {
+                    if s1 < e0 - EPS {
+                        return Err(format!(
+                            "tenant \"{}\" overlaps a resident on link {l} ({s1:.3} < {e0:.3})",
+                            tenant.name
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Commits an admission: verifies the pinning contract (refusing on
+    /// violation, nothing touched), memoizes a ladder result for replay,
+    /// merges the tenant's spans into the maintained rows, stores the
+    /// tenant, and builds the report.
     fn install(
         &mut self,
         tenant: Tenant,
@@ -846,8 +955,15 @@ impl Engine {
         replayed: bool,
         rec: &dyn Recorder,
     ) -> Result<AdmitReport, AdmitError> {
-        let name = tenant.name.clone();
-        let ledger_before = self.ledger();
+        if self.cfg.paranoid {
+            if let Err(e) = self.check_arrival(&tenant) {
+                rec.add("serve.invariant_violations", 1);
+                return Err(AdmitError::Internal(format!(
+                    "admission of \"{}\" would violate the pinning contract and was refused: {e}",
+                    tenant.name
+                )));
+            }
+        }
         let rungs_tried = if replayed {
             0
         } else {
@@ -859,7 +975,7 @@ impl Engine {
             }
         };
         let report = AdmitReport {
-            name: name.clone(),
+            name: tenant.name.clone(),
             rung,
             scale,
             memo_hit,
@@ -870,27 +986,30 @@ impl Engine {
             latency_us: 0.0,
             ladder_us: Vec::new(),
         };
-        let stored = tenant.clone();
-        self.tenants.insert(name.clone(), tenant);
-        self.admit_seq += 1;
-        if self.cfg.paranoid {
-            if let Err(e) = self.check_invariants() {
-                self.tenants.remove(&name);
-                self.admit_seq -= 1;
-                rec.add("serve.invariant_violations", 1);
-                return Err(AdmitError::Internal(format!(
-                    "admission of \"{name}\" violated the pinning contract and was rolled back: {e}"
-                )));
+        // A replayed admission leaves the memoized result as it found it:
+        // same ledger, same tenant.
+        if !replayed {
+            if let Some(entry) = self.memo.get_mut(&tenant.name) {
+                entry.last = Some(LastResult {
+                    ledger: self.live.clone(),
+                    tenant: tenant.clone(),
+                    rung,
+                    scale,
+                });
             }
         }
-        if let Some(entry) = self.memo.get_mut(&name) {
-            entry.last = Some(LastResult {
-                ledger: ledger_before,
-                tenant: stored,
-                rung,
-                scale,
-            });
+        let mut moved = 0;
+        for (&l, spans) in &tenant.spans {
+            let row = self.live.entry(l).or_default();
+            row.extend_from_slice(spans);
+            row.sort_by(cmp_span);
+            moved += spans.len();
         }
+        rec.add("serve.ledger.spans_moved", moved as u64);
+        rec.add("serve.ledger.rows_touched", tenant.spans.len() as u64);
+        self.tenants.insert(tenant.name.clone(), tenant);
+        self.admit_seq += 1;
+        self.debug_check();
         Ok(report)
     }
 
@@ -899,7 +1018,7 @@ impl Engine {
     /// `assign_paths_partial` (standalone paths as the frozen base), then
     /// run the reserved allocation ladder on the new paths.
     fn try_reroute(
-        &mut self,
+        &self,
         sched: &Schedule,
         ledger: &BTreeMap<LinkId, Vec<(f64, f64)>>,
         rec: &dyn Recorder,
@@ -1065,10 +1184,31 @@ pub fn spans_of_schedule(sched: &Schedule) -> BTreeMap<LinkId, Vec<(f64, f64)>> 
         }
     }
     for spans in out.values_mut() {
-        spans.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        spans.sort_by(cmp_span);
         coalesce(spans);
     }
     out
+}
+
+/// The order of a ledger row: by start, then end, bit-exact.
+fn cmp_span(a: &(f64, f64), b: &(f64, f64)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1))
+}
+
+/// Where each of `spans` (ascending) sits in `row`, bit-exact and each at
+/// its own index; `None` when one is missing.
+fn locate(row: &[(f64, f64)], spans: &[(f64, f64)]) -> Option<Vec<usize>> {
+    let mut at = Vec::with_capacity(spans.len());
+    let mut from = 0;
+    for span in spans {
+        let i = from + row[from..].partition_point(|r| cmp_span(r, span).is_lt());
+        if cmp_span(row.get(i)?, span).is_ne() {
+            return None;
+        }
+        at.push(i);
+        from = i + 1;
+    }
+    Some(at)
 }
 
 /// Messages that actually traverse links (trivial/local ones carry no
@@ -1094,19 +1234,25 @@ fn coalesce(spans: &mut Vec<(f64, f64)>) {
 
 /// Whether `spans` fit into the idle time `ledger` leaves, every span at
 /// least `guard` away from every ledger span on the same link.
-fn fits(
-    spans: &BTreeMap<LinkId, Vec<(f64, f64)>>,
-    ledger: &BTreeMap<LinkId, Vec<(f64, f64)>>,
-    guard: f64,
-) -> bool {
+///
+/// Ledger rows are sorted by start and consecutive spans overlap by at most
+/// `EPS` (the pinning contract), so a span longer than `2 * EPS` (one `EPS`
+/// of rounding room) ends after every span before it. The spans starting
+/// early enough to collide are a prefix of the row, and of those only the
+/// last — and the run of shorter ones it may end — can end late enough to.
+fn fits(spans: &Spans, ledger: &Spans, guard: f64) -> bool {
     for (l, mine) in spans {
         let Some(theirs) = ledger.get(l) else {
             continue;
         };
         for &(s, e) in mine {
-            for &(bs, be) in theirs {
-                if s < be + guard - EPS && e > bs - guard + EPS {
+            let early = theirs.partition_point(|&(bs, _)| e > bs - guard + EPS);
+            for &(bs, be) in theirs[..early].iter().rev() {
+                if s < be + guard - EPS {
                     return false;
+                }
+                if be - bs > 2.0 * EPS {
+                    break;
                 }
             }
         }
@@ -1117,8 +1263,69 @@ fn fits(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sr_obs::NOOP;
     use sr_topology::Torus;
+
+    /// The scan `fits` replaced: every candidate span against every
+    /// resident span of its link.
+    fn fits_by_scan(spans: &Spans, ledger: &Spans, guard: f64) -> bool {
+        for (l, mine) in spans {
+            let Some(theirs) = ledger.get(l) else {
+                continue;
+            };
+            for &(s, e) in mine {
+                for &(bs, be) in theirs {
+                    if s < be + guard - EPS && e > bs - guard + EPS {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// On rows that satisfy the pinning contract — including abutting
+        /// spans, overlaps of exactly `EPS` and spans shorter than `EPS` —
+        /// the neighbour test and the full scan give the same verdict.
+        /// Everything sits on a half-`EPS` grid, and each candidate starts
+        /// within a few steps of a resident's end, so the boundaries are hit.
+        #[test]
+        fn fits_agrees_with_the_full_scan(
+            row in prop::collection::vec((-2i32..6, 0i32..8), 1..10),
+            mine in prop::collection::vec((0usize..10, -8i32..8, 0i32..12), 1..4),
+            guard in 0i32..5,
+        ) {
+            let unit = EPS / 2.0;
+            let mut theirs: Vec<(f64, f64)> = Vec::new();
+            for (gap, len) in row {
+                let start = theirs
+                    .last()
+                    .map_or(1.0, |&(s, e)| (e + f64::from(gap) * unit).max(s));
+                theirs.push((start, start + f64::from(len) * unit));
+            }
+            theirs.sort_by(cmp_span);
+            let mine: Vec<(f64, f64)> = mine
+                .into_iter()
+                .map(|(near, off, len)| {
+                    let s = theirs[near % theirs.len()].1 + f64::from(off) * unit;
+                    (s, s + f64::from(len) * unit)
+                })
+                .collect();
+            let (spans, ledger) = (
+                Spans::from([(LinkId(0), mine)]),
+                Spans::from([(LinkId(0), theirs)]),
+            );
+            let guard = f64::from(guard) * unit;
+            prop_assert_eq!(
+                fits(&spans, &ledger, guard),
+                fits_by_scan(&spans, &ledger, guard)
+            );
+        }
+    }
 
     fn engine() -> Engine {
         let topo = Torus::new(&[4, 4]).expect("torus");
@@ -1342,5 +1549,169 @@ mod tests {
             t1_after.schedule.as_ref().unwrap().segments()
         );
         eng.check_invariants().expect("clean ledger");
+    }
+    /// What the whole-table check says of the table with `t` in it — the
+    /// verdict `install` has to reach without inserting.
+    fn whole_table_verdict(eng: &mut Engine, t: &Tenant) -> Result<(), String> {
+        eng.tenants.insert(t.name.clone(), t.clone());
+        let verdict = eng.check_invariants();
+        eng.tenants.remove(&t.name);
+        verdict
+    }
+
+    /// Installs `t` and asserts the delta check agreed with the whole-table
+    /// check; a refusal must leave table, ledger and sequence untouched.
+    /// Returns whether `t` was refused.
+    fn install_agrees_with_the_whole_table_check(eng: &mut Engine, t: Tenant) -> bool {
+        let want = whole_table_verdict(eng, &t);
+        let before = (eng.live.clone(), eng.tenants.len(), eng.admit_seq);
+        let rec = sr_obs::MetricsRecorder::new();
+        let (name, rung, scale) = (t.name.clone(), t.rung, t.scale);
+        let got = eng.install(t, rung, scale, false, false, &rec);
+        assert_eq!(got.is_err(), want.is_err(), "{name}: {got:?} vs {want:?}");
+        if got.is_err() {
+            assert!(matches!(got, Err(AdmitError::Internal(_))));
+            assert_eq!(rec.counter("serve.invariant_violations"), 1);
+            assert_eq!(before, (eng.live.clone(), eng.tenants.len(), eng.admit_seq));
+            assert!(eng.tenant(&name).is_none());
+        } else {
+            eng.evict(&name, &NOOP).expect("evicts");
+            assert_eq!(before.0, eng.live);
+        }
+        assert_eq!(eng.live, eng.ledger());
+        eng.check_invariants().expect("residents stay clean");
+        got.is_err()
+    }
+
+    /// `base`'s spans moved by `shift` µs, with no schedule to answer to.
+    fn shifted(base: &Tenant, name: &str, shift: f64) -> Tenant {
+        let mut t = base.clone();
+        t.name = name.to_string();
+        t.schedule = None;
+        for row in t.spans.values_mut() {
+            for span in row {
+                *span = (span.0 + shift, span.1 + shift);
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn install_refuses_what_the_whole_table_check_refuses() {
+        let cfg = ServeConfig::default();
+        let guarded = ServeConfig {
+            compile: CompileConfig {
+                guard_time: 1.0,
+                ..cfg.compile.clone()
+            },
+            ..cfg
+        };
+        let mut eng = Engine::new(Box::new(Torus::new(&[4, 4]).expect("torus")), guarded);
+        eng.admit(&chain_spec("t1", &[0, 1, 2]), &NOOP).expect("t1");
+        let t1 = eng.tenant("t1").unwrap().clone();
+        let len = t1
+            .spans
+            .values()
+            .flatten()
+            .map(|s| s.1 - s.0)
+            .fold(0.0, f64::max);
+
+        // Spans shifted onto a resident: t1's own schedule and spans under
+        // another name.
+        let mut twin = t1.clone();
+        twin.name = "twin".into();
+        assert!(install_agrees_with_the_whole_table_check(&mut eng, twin));
+
+        // Spans that are not the spans of the tenant's schedule, on links
+        // nobody else uses.
+        let mut other = engine();
+        other
+            .admit(&chain_spec("t2", &[5, 6, 7]), &NOOP)
+            .expect("t2");
+        let mut forged = other.tenant("t2").unwrap().clone();
+        forged.spans.values_mut().next().unwrap()[0].1 += 0.5;
+        assert!(install_agrees_with_the_whole_table_check(&mut eng, forged));
+
+        // Abutting a resident inside the guard: the ladder would not place
+        // it there (`fits` keeps the guard), but the pinning contract is
+        // overlap freedom, and both checks agree it holds.
+        let abutting = shifted(&t1, "abutting", len);
+        assert!(!fits(&abutting.spans, &eng.live, 1.0));
+        assert!(!install_agrees_with_the_whole_table_check(
+            &mut eng, abutting
+        ));
+
+        // Every offset around the overlap boundary, on both sides.
+        let mut refused = 0;
+        for side in [-1.0, 1.0] {
+            for k in -4..=4 {
+                let shift = side * (len + f64::from(k) * EPS / 2.0);
+                let t = shifted(&t1, "near", shift);
+                refused += usize::from(install_agrees_with_the_whole_table_check(&mut eng, t));
+            }
+        }
+        assert!(refused > 0 && refused < 18, "{refused} of 18 refused");
+    }
+
+    #[test]
+    fn eviction_is_all_or_nothing() {
+        let mut eng = engine();
+        eng.admit(&chain_spec("t1", &[0, 1, 2]), &NOOP).expect("t1");
+        eng.admit(&chain_spec("t2", &[5, 6, 7]), &NOOP).expect("t2");
+        // Corrupt the *last* row the eviction would reach, so a removal
+        // that went row by row would have taken the earlier ones already.
+        let (&last_link, row) = eng.tenant("t1").unwrap().spans.iter().next_back().unwrap();
+        assert!(eng.tenant("t1").unwrap().spans.len() > 1);
+        let victim = row[0];
+        let clean = eng.live.clone();
+        for corrupt in [
+            |row: &mut Vec<(f64, f64)>, _: (f64, f64)| row.clear(),
+            |row: &mut Vec<(f64, f64)>, v: (f64, f64)| {
+                let at = row.iter().position(|&s| s == v).unwrap();
+                row[at].1 += 0.25;
+            },
+        ] {
+            eng.live = clean.clone();
+            corrupt(eng.live.get_mut(&last_link).unwrap(), victim);
+            let corrupted = eng.live.clone();
+            let rec = sr_obs::MetricsRecorder::new();
+            let err = eng.evict("t1", &rec).expect_err("refused");
+            assert!(matches!(err, EvictError::Internal(_)), "{err}");
+            assert!(
+                err.to_string().contains(&format!("link {last_link}")),
+                "{err}"
+            );
+            assert_eq!(rec.counter("serve.invariant_violations"), 1);
+            assert_eq!(rec.counter("serve.evict"), 0);
+            assert_eq!(eng.live, corrupted);
+            assert!(eng.tenant("t1").is_some() && eng.tenant("t2").is_some());
+            assert!(eng.memo["t1"].last.is_some());
+        }
+        assert_eq!(
+            eng.evict("nobody", &NOOP),
+            Err(EvictError::UnknownTenant("nobody".into()))
+        );
+        // With the ledger as the engine left it, the same eviction lands.
+        eng.live = clean;
+        eng.evict("t1", &NOOP).expect("evicts");
+        assert_eq!(eng.live, eng.ledger());
+    }
+
+    #[test]
+    fn ledger_counters_follow_the_delta() {
+        let mut eng = engine();
+        eng.admit(&chain_spec("t1", &[0, 1, 2]), &NOOP).expect("t1");
+        let rec = sr_obs::MetricsRecorder::new();
+        eng.admit(&chain_spec("t2", &[5, 6, 7]), &rec).expect("t2");
+        let t2 = eng.tenant("t2").unwrap();
+        let (rows, spans) = (
+            t2.spans.len() as u64,
+            t2.spans.values().map(Vec::len).sum::<usize>() as u64,
+        );
+        assert_eq!(rec.counter("serve.ledger.rows_touched"), rows);
+        assert_eq!(rec.counter("serve.ledger.spans_moved"), spans);
+        eng.evict("t2", &rec).expect("evicts");
+        assert_eq!(rec.counter("serve.ledger.rows_touched"), 2 * rows);
+        assert_eq!(rec.counter("serve.ledger.spans_moved"), 2 * spans);
     }
 }

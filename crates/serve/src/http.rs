@@ -3,9 +3,11 @@
 //! separate thread.
 //!
 //! The admission path never waits on HTTP: the daemon *publishes* a
-//! pre-rendered snapshot ([`OpsState::publish`]) after each mutation, and
-//! the listener thread serves whatever snapshot is current — the only
-//! shared state is the snapshot mutex (held for a clone) and the
+//! pre-rendered snapshot ([`OpsState::publish`]) after each mutation —
+//! rendering only the tenants that arrived since the last one — and the
+//! listener thread serves whatever snapshot is current, joining the
+//! rendered items at scrape time. The only shared state is the snapshot
+//! mutex (held for that render or that join) and the
 //! [`MetricsRecorder`]'s own mutex, the same discipline the in-band
 //! `stats` op already uses. Responses close the connection (`Connection:
 //! close`), keep-alive is deliberately unsupported, and malformed or
@@ -17,13 +19,14 @@
 //! is why this surface is out-of-band and the golden-transcript contract
 //! applies only to frames.
 
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::engine::Engine;
+use crate::engine::{Engine, Tenant};
 use sr_obs::{escape_json, json_num, MetricsRecorder, Recorder};
 
 /// Largest accepted request head (request line + headers), bytes.
@@ -38,14 +41,39 @@ pub struct OpsState {
 }
 
 /// The pre-rendered daemon state the endpoints serve.
-#[derive(Default, Clone)]
+#[derive(Default)]
 struct OpsSnapshot {
-    tenants_json: String,
-    tenant_count: usize,
+    /// Each resident's rendered `/tenants` item, in name order, with the
+    /// admission `seq` it was rendered for: a tenant is immutable from
+    /// admission to eviction and a re-admission takes a new `seq`, so an
+    /// item stays valid exactly as long as its `seq` is resident.
+    items: BTreeMap<String, (u64, String)>,
     last_admission: String,
     journal_attached: bool,
     journal_lines: u64,
     journal_rotations: u64,
+}
+
+/// One tenant's `/tenants` item.
+fn render_tenant(t: &Tenant) -> String {
+    let links: Vec<String> = t
+        .spans
+        .iter()
+        .map(|(l, spans)| {
+            let busy: f64 = spans.iter().map(|&(s, e)| e - s).sum();
+            format!("{{\"link\":{},\"busy_us\":{}}}", l.index(), json_num(busy))
+        })
+        .collect();
+    format!(
+        "{{\"name\":\"{}\",\"seq\":{},\"rung\":\"{}\",\"scale\":{},\"messages\":{},\
+         \"links\":[{}]}}",
+        escape_json(&t.name),
+        t.seq,
+        t.rung.label(),
+        json_num(t.scale),
+        t.tfg.num_messages(),
+        links.join(",")
+    )
 }
 
 impl OpsState {
@@ -54,51 +82,48 @@ impl OpsState {
         OpsState {
             rec,
             started: Instant::now(),
-            snap: Mutex::new(OpsSnapshot {
-                tenants_json: "[]".to_string(),
-                ..OpsSnapshot::default()
-            }),
+            snap: Mutex::new(OpsSnapshot::default()),
             stop: AtomicBool::new(false),
         }
     }
 
-    /// Publishes a fresh snapshot: the daemon calls this after every
-    /// engine mutation (and once at attach time). Rendering happens on
-    /// the daemon thread; the listener only clones strings.
-    pub fn publish(&self, engine: &Engine, last_admission: &str, journal: Option<(u64, u64)>) {
-        let mut items = Vec::new();
-        for t in engine.tenants() {
-            let links: Vec<String> = t
-                .spans
-                .iter()
-                .map(|(l, spans)| {
-                    let busy: f64 = spans.iter().map(|&(s, e)| e - s).sum();
-                    format!("{{\"link\":{},\"busy_us\":{}}}", l.index(), json_num(busy))
-                })
-                .collect();
-            items.push(format!(
-                "{{\"name\":\"{}\",\"seq\":{},\"rung\":\"{}\",\"scale\":{},\"messages\":{},\
-                 \"links\":[{}]}}",
-                escape_json(&t.name),
-                t.seq,
-                t.rung.label(),
-                json_num(t.scale),
-                t.tfg.num_messages(),
-                links.join(",")
-            ));
-        }
-        let snap = OpsSnapshot {
-            tenant_count: items.len(),
-            tenants_json: format!("[{}]", items.join(",")),
-            last_admission: last_admission.to_string(),
-            journal_attached: journal.is_some(),
-            journal_lines: journal.map_or(0, |(l, _)| l),
-            journal_rotations: journal.map_or(0, |(_, r)| r),
-        };
-        *self
-            .snap
+    fn snap(&self) -> std::sync::MutexGuard<'_, OpsSnapshot> {
+        self.snap
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = snap;
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Publishes a fresh snapshot: the daemon calls this after every
+    /// engine mutation (and once at attach time). Items of departed
+    /// tenants are dropped and only tenants without a current item are
+    /// rendered, on the daemon thread; the listener only joins strings.
+    pub fn publish(&self, engine: &Engine, last_admission: &str, journal: Option<(u64, u64)>) {
+        let mut snap = self.snap();
+        snap.items
+            .retain(|name, (seq, _)| engine.tenant(name).is_some_and(|t| t.seq == *seq));
+        for t in engine.tenants() {
+            if !snap.items.contains_key(&t.name) {
+                snap.items.insert(t.name.clone(), (t.seq, render_tenant(t)));
+            }
+        }
+        snap.last_admission = last_admission.to_string();
+        snap.journal_attached = journal.is_some();
+        snap.journal_lines = journal.map_or(0, |(l, _)| l);
+        snap.journal_rotations = journal.map_or(0, |(_, r)| r);
+    }
+
+    /// The `GET /tenants` body for the published snapshot.
+    pub fn tenants_body(&self) -> String {
+        let snap = self.snap();
+        let mut body = format!("{{\"ok\":true,\"count\":{},\"tenants\":[", snap.items.len());
+        for (i, (_, item)) in snap.items.values().enumerate() {
+            if i > 0 {
+                body.push(',');
+            }
+            body.push_str(item);
+        }
+        body.push_str("]}\n");
+        body
     }
 
     /// Asks the listener thread to exit after its next accepted (or
@@ -107,13 +132,6 @@ impl OpsState {
         self.stop.store(true, Ordering::SeqCst);
         // Unblock the accept loop; the connection is dropped unserved.
         let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(200));
-    }
-
-    fn snapshot(&self) -> OpsSnapshot {
-        self.snap
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
     }
 }
 
@@ -205,29 +223,30 @@ fn handle(mut stream: TcpStream, state: &OpsState) {
         }
         "/healthz" => {
             state.rec.add("serve.http.healthz", 1);
-            let snap = state.snapshot();
+            let requests = state.rec.counter("serve.requests");
+            let snap = state.snap();
             let body = format!(
-                "{{\"ok\":true,\"uptime_us\":{},\"requests\":{},\"tenants\":{},\
+                "{{\"ok\":true,\"uptime_us\":{},\"requests\":{requests},\"tenants\":{},\
                  \"last_admission\":\"{}\",\"journal\":{{\"attached\":{},\"lines\":{},\
                  \"rotations\":{}}}}}\n",
                 state.started.elapsed().as_micros(),
-                state.rec.counter("serve.requests"),
-                snap.tenant_count,
+                snap.items.len(),
                 escape_json(&snap.last_admission),
                 snap.journal_attached,
                 snap.journal_lines,
                 snap.journal_rotations
             );
+            drop(snap);
             respond(&mut stream, "200 OK", "application/json", &body);
         }
         "/tenants" => {
             state.rec.add("serve.http.tenants", 1);
-            let snap = state.snapshot();
-            let body = format!(
-                "{{\"ok\":true,\"count\":{},\"tenants\":{}}}\n",
-                snap.tenant_count, snap.tenants_json
+            respond(
+                &mut stream,
+                "200 OK",
+                "application/json",
+                &state.tenants_body(),
             );
-            respond(&mut stream, "200 OK", "application/json", &body);
         }
         _ => {
             state.rec.add("serve.http.not_found", 1);

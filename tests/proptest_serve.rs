@@ -2,12 +2,19 @@
 //! contract: over random admit/evict interleavings on a 4×4 torus, every
 //! admitted tenant's schedule stays bit-identical to its standalone
 //! compile, eviction restores the ledger exactly, and evict-then-readmit
-//! reproduces the original admission byte for byte.
+//! reproduces the original admission byte for byte. A second property
+//! holds the engine's *maintained* state — ledger rows, ledger hash, the
+//! published `/tenants` items — to its from-scratch specification after
+//! every op of interleavings that also contend, reject and batch; CI runs
+//! it in release too, where the engine's own debug assertions are off.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use sr::serve::{AdmitError, Engine, Placement, ServeConfig, TenantSpec};
+use sr::obs::{escape_json, json_num};
+use sr::serve::{
+    ledger_hash, spans_hash, AdmitError, Engine, OpsState, Placement, ServeConfig, TenantSpec,
+};
 use sr::tfg::MessageId;
 use sr::topology::Torus;
 
@@ -48,8 +55,98 @@ fn standalone(i: usize) -> sr::core::Schedule {
         .expect("real-time schedule")
 }
 
+/// A contender for tenant `i`'s links: same node pair, another name, so it
+/// cannot take the fast rung while `t{i}` is resident — it lands on a lower
+/// rung (best effort allowed) or is rejected.
+fn contender(i: usize) -> TenantSpec {
+    TenantSpec {
+        name: format!("c{i}"),
+        best_effort: true,
+        ..spec(i)
+    }
+}
+
+/// A tenant that cannot compile at this period on any ledger: a rejection
+/// that leaves table and ledger as they were.
+fn hog(i: usize) -> TenantSpec {
+    TenantSpec {
+        name: "hog".into(),
+        tfg_text: "task a 100\ntask b 100\nmsg m a -> b 2000000".into(),
+        ..spec(i)
+    }
+}
+
+/// The `GET /tenants` body rendered from the tenant table alone.
+fn tenants_body_from_scratch(eng: &Engine) -> String {
+    let items: Vec<String> = eng
+        .tenants()
+        .map(|t| {
+            let links: Vec<String> = t
+                .spans
+                .iter()
+                .map(|(l, spans)| {
+                    let busy: f64 = spans.iter().map(|&(s, e)| e - s).sum();
+                    format!(r#"{{"link":{},"busy_us":{}}}"#, l.index(), json_num(busy))
+                })
+                .collect();
+            format!(
+                r#"{{"name":"{}","seq":{},"rung":"{}","scale":{},"messages":{},"links":[{}]}}"#,
+                escape_json(&t.name),
+                t.seq,
+                t.rung.label(),
+                json_num(t.scale),
+                t.tfg.num_messages(),
+                links.join(",")
+            )
+        })
+        .collect();
+    format!(
+        "{{\"ok\":true,\"count\":{},\"tenants\":[{}]}}\n",
+        items.len(),
+        items.join(",")
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// After every op of a random admit / evict / contender / reject /
+    /// batch interleaving, everything the engine and the exposition keep
+    /// incrementally equals its from-scratch recompute.
+    #[test]
+    fn maintained_state_equals_its_recompute(
+        ops in prop::collection::vec((0usize..6, 0usize..POOL), 1..32),
+    ) {
+        let mut eng = engine();
+        let ops_state = OpsState::new(std::sync::Arc::new(sr::obs::MetricsRecorder::new()));
+        for &(kind, i) in &ops {
+            let rec = &sr::obs::NOOP;
+            match kind {
+                0 => drop(eng.admit(&spec(i), rec)),
+                1 => drop(eng.evict(&format!("t{i}"), rec)),
+                2 => drop(eng.admit(&contender(i), rec)),
+                3 => drop(eng.evict(&format!("c{i}"), rec)),
+                4 => {
+                    let before = eng.ledger();
+                    prop_assert!(matches!(
+                        eng.admit(&hog(i), rec),
+                        Err(AdmitError::Infeasible(_))
+                    ));
+                    prop_assert_eq!(&before, eng.maintained_ledger());
+                }
+                _ => {
+                    let batch = [spec(i), contender(i), spec((i + 1) % POOL)];
+                    drop(eng.admit_batch(&batch, rec));
+                }
+            }
+            let recomputed = eng.ledger();
+            prop_assert_eq!(eng.maintained_ledger(), &recomputed);
+            prop_assert_eq!(eng.check_invariants(), Ok(()));
+            prop_assert_eq!(ledger_hash(&eng), spans_hash(&recomputed));
+            ops_state.publish(&eng, "", None);
+            prop_assert_eq!(ops_state.tenants_body(), tenants_body_from_scratch(&eng));
+        }
+    }
 
     /// Any admit/evict interleaving leaves every admitted tenant's rows,
     /// segments, and spans bit-identical to its standalone compile, and

@@ -206,3 +206,54 @@ fn admitting_past_the_memo_capacity_keeps_the_entry_in_flight() {
     assert_eq!(eng.tenants().count(), residents);
     eng.check_invariants().expect("ledger invariants");
 }
+
+/// Admission and eviction cost what they move, by count: the same warm
+/// two-task tenant admitted into and evicted from 24 and 480 resident
+/// chains on a 32×32 torus touches the same number of ledger rows and moves
+/// the same number of spans. The counters count the delta the maintained
+/// ledger applies, so they are exact where a wall clock would be noise.
+#[test]
+fn ledger_work_per_mutation_does_not_grow_with_the_table() {
+    let chain = |i: usize| TenantSpec {
+        name: format!("chain{i:03}"),
+        tfg_text: format!("task a{i} 100\ntask b{i} 100\nmsg m{i} a{i} -> b{i} 256"),
+        placement: Placement::Nodes(vec![2 * i, 2 * i + 1]),
+        best_effort: false,
+    };
+    let probe = chain(500);
+    let work_at = |residents: usize| {
+        let topo = Torus::new(&[32, 32]).expect("torus");
+        let mut eng = Engine::new(
+            Box::new(topo),
+            ServeConfig {
+                period: 200.0,
+                ..ServeConfig::default()
+            },
+        );
+        for i in 0..residents {
+            eng.admit(&chain(i), &sr::obs::NOOP).expect("resident");
+        }
+        // Warm the probe: compile, admit, evict — its memo now replays.
+        eng.admit(&probe, &sr::obs::NOOP).expect("cold probe");
+        eng.evict(&probe.name, &sr::obs::NOOP).expect("evicts");
+        let rec = sr::obs::MetricsRecorder::new();
+        let report = eng.admit(&probe, &rec).expect("warm probe");
+        assert!(report.replayed);
+        let admit = (
+            rec.counter("serve.ledger.rows_touched"),
+            rec.counter("serve.ledger.spans_moved"),
+        );
+        eng.evict(&probe.name, &rec).expect("evicts");
+        let both = (
+            rec.counter("serve.ledger.rows_touched"),
+            rec.counter("serve.ledger.spans_moved"),
+        );
+        assert_eq!(eng.tenants().count(), residents);
+        assert_eq!(eng.maintained_ledger(), &eng.ledger());
+        (admit, both)
+    };
+    let (small, large) = (work_at(24), work_at(480));
+    assert!(small.0 .0 > 0 && small.0 .1 > 0, "{small:?}");
+    assert_eq!(small.1, (2 * small.0 .0, 2 * small.0 .1));
+    assert_eq!(small, large);
+}

@@ -159,6 +159,10 @@ fn workload_is_observed_and_replays_bit_identically() {
         "{out}"
     );
     assert!(out.contains("tenants: 20"), "{out}");
+    assert!(
+        out.contains("ledger recomputed and invariants checked after every op"),
+        "{out}"
+    );
     clean(&journal);
 }
 
@@ -188,6 +192,37 @@ fn torn_final_line_reports_the_tear_and_verifies_the_prefix() {
         out.contains("6 ops verified bit-identical (6 admits, 0 evicts, 0 rejects)"),
         "{out}"
     );
+    clean(&journal);
+}
+
+/// One record's `ledger_hash` altered: replay recomputes the ledger from
+/// the re-driven tenant table after every op, so it stops at that record
+/// and names its line — the records before it verify, the ones after are
+/// never reached.
+#[test]
+fn altered_ledger_hash_is_caught_at_its_line() {
+    let journal = tmp_path("altered");
+    clean(&journal);
+    let mut daemon = Daemon::new(engine());
+    daemon.attach_journal(&journal, META).expect("journal");
+    for i in 0..6 {
+        ok_frame(&mut daemon, &admit_req(i));
+    }
+    ok_frame(&mut daemon, r#"{"op":"evict","tenant":"drv2"}"#);
+    drop(daemon);
+
+    let text = std::fs::read_to_string(&journal).expect("journal exists");
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    // Line 1 is the genesis meta; line 4 records the admission of drv2.
+    let key = "\"ledger_hash\":\"";
+    let at = lines[3].find(key).expect("record carries a ledger hash") + key.len();
+    let digit = if &lines[3][at..=at] == "0" { "1" } else { "0" };
+    lines[3].replace_range(at..=at, digit);
+    std::fs::write(&journal, lines.join("\n") + "\n").expect("rewrites");
+
+    let err = replay(&journal).expect_err("the altered record diverges");
+    assert!(err.contains("replay diverged at line 4"), "{err}");
+    assert!(err.contains("Admit \"drv2\": ledger diverged"), "{err}");
     clean(&journal);
 }
 
