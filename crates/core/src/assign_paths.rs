@@ -8,8 +8,65 @@ use sr_mapping::Allocation;
 use sr_tfg::{MessageId, TaskFlowGraph, TimeBounds};
 use sr_topology::{NodeId, Path, Topology};
 
+use crate::assignment::{compact_link, Route};
 use crate::utilization::UtilEval;
 use crate::{ActivityMatrix, Hotspot, Intervals, PathAssignment, UtilizationMap, EPS};
+
+/// The shortest paths of one `(source, destination)` pair together with
+/// their link rows, derived once: row `j` is `paths[j].links(topo)` as `u32`
+/// ids. All shortest paths of a pair have the same hop count, so the rows
+/// sit back to back in one arena.
+pub(crate) struct Routes {
+    paths: Vec<Path>,
+    rows: Vec<u32>,
+    hops: usize,
+}
+
+impl Routes {
+    pub(crate) fn derive(paths: Vec<Path>, topo: &dyn Topology) -> Self {
+        let hops = paths.first().map_or(0, Path::hops);
+        let mut rows = Vec::with_capacity(paths.len() * hops);
+        for path in &paths {
+            assert_eq!(path.hops(), hops, "shortest paths differ in length");
+            rows.extend(path.links(topo).into_iter().map(compact_link));
+        }
+        Routes { paths, rows, hops }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.paths.len()
+    }
+
+    pub(crate) fn get(&self, j: usize) -> Route<'_> {
+        Route {
+            path: &self.paths[j],
+            links: &self.rows[j * self.hops..(j + 1) * self.hops],
+        }
+    }
+}
+
+/// The routes one message may move between during a climb: a pair's
+/// [`Routes`], or the subset of them an index list picks.
+#[derive(Clone, Copy)]
+struct Alternatives<'a> {
+    routes: &'a Routes,
+    only: Option<&'a [u32]>,
+}
+
+impl<'a> Alternatives<'a> {
+    fn len(&self) -> usize {
+        self.only.map_or(self.routes.len(), <[u32]>::len)
+    }
+
+    fn get(&self, j: usize) -> Route<'a> {
+        self.routes
+            .get(self.only.map_or(j, |only| only[j] as usize))
+    }
+
+    fn iter(self) -> impl Iterator<Item = Route<'a>> {
+        (0..self.len()).map(move |j| self.get(j))
+    }
+}
 
 /// Memoized shortest-path enumeration, keyed by `(source, destination)`.
 ///
@@ -17,7 +74,9 @@ use crate::{ActivityMatrix, Hotspot, Intervals, PathAssignment, UtilizationMap, 
 /// and the enumeration cap — not on the heuristic seed — so the compile
 /// feedback search shares one pool across all its `AssignPaths` retries
 /// (and across worker threads: cells are [`OnceLock`]s, so each pair is
-/// enumerated exactly once no matter how many threads ask).
+/// enumerated exactly once no matter how many threads ask). Each pair's
+/// link rows are derived at the same moment and cached next to its paths,
+/// which is what lets a reroute trial run without touching the topology.
 pub struct PathPool<'a> {
     topo: &'a dyn Topology,
     cap: usize,
@@ -31,8 +90,8 @@ pub struct PathPool<'a> {
 /// structurally frozen after construction — only the [`OnceLock`] payloads
 /// are ever written — so shared `&self` lookups stay safe.
 enum PoolCells {
-    Dense(Vec<OnceLock<Vec<Path>>>),
-    Seeded(std::collections::HashMap<(usize, usize), OnceLock<Vec<Path>>>),
+    Dense(Vec<OnceLock<Routes>>),
+    Seeded(std::collections::HashMap<(usize, usize), OnceLock<Routes>>),
 }
 
 impl<'a> PathPool<'a> {
@@ -88,6 +147,12 @@ impl<'a> PathPool<'a> {
     /// Panics if the pool was built with [`PathPool::seeded`] and this
     /// pair was not seeded.
     pub fn paths(&self, src: NodeId, dst: NodeId) -> &[Path] {
+        &self.routes(src, dst).paths
+    }
+
+    /// [`PathPool::paths`] with the link row of each path — one counted
+    /// lookup, like `paths`.
+    fn routes(&self, src: NodeId, dst: NodeId) -> &Routes {
         let cell = match &self.cells {
             PoolCells::Dense(cells) => &cells[src.index() * self.topo.num_nodes() + dst.index()],
             PoolCells::Seeded(map) => map
@@ -99,7 +164,19 @@ impl<'a> PathPool<'a> {
             return cached;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        cell.get_or_init(|| self.topo.shortest_paths(src, dst, self.cap))
+        cell.get_or_init(|| Routes::derive(self.topo.shortest_paths(src, dst, self.cap), self.topo))
+    }
+
+    /// One lookup per message of `tfg`, in message order: each message's
+    /// alternative routes between its allocated endpoints.
+    fn alternatives(&self, tfg: &TaskFlowGraph, alloc: &Allocation) -> Vec<Alternatives<'_>> {
+        tfg.messages()
+            .iter()
+            .map(|m| Alternatives {
+                routes: self.routes(alloc.node_of(m.src()), alloc.node_of(m.dst())),
+                only: None,
+            })
+            .collect()
     }
 
     /// Lookup counters `(hits, misses)` since construction. A "miss" is a
@@ -208,10 +285,10 @@ pub fn assign_paths_pooled(
         |pa: &PathAssignment| UtilizationMap::compute(pa, bounds, activity, intervals, num_links);
 
     // Alternative shortest paths per message (index 0 = dimension order).
-    let candidates: Vec<&[Path]> = tfg
-        .messages()
-        .iter()
-        .map(|m| pool.paths(alloc.node_of(m.src()), alloc.node_of(m.dst())))
+    let candidates: Vec<_> = pool
+        .alternatives(tfg, alloc)
+        .into_iter()
+        .map(Some)
         .collect();
 
     let baseline = PathAssignment::lsd_to_msd(tfg, topo, alloc);
@@ -221,7 +298,7 @@ pub fn assign_paths_pooled(
         &baseline,
         baseline_effective,
         &candidates,
-        topo,
+        num_links,
         bounds,
         intervals,
         activity,
@@ -245,10 +322,11 @@ pub fn assign_paths_pooled(
 /// other message to its path in `base` — the path-assignment stage of
 /// incremental repair.
 ///
-/// Frozen messages get a single-entry candidate list (their `base` path),
-/// which the improvement loop and random restarts leave untouched by
-/// construction; each affected message's candidates are the masked
-/// topology's surviving shortest paths between its original endpoints. The
+/// Frozen messages have no alternatives, so the improvement loop and random
+/// restarts leave them untouched by construction; each affected message's
+/// candidates are the masked topology's surviving shortest paths between
+/// its original endpoints (at least one is enumerated, whatever
+/// `config.path_cap` says — the clamp [`PathPool`] applies). The
 /// returned outcome's `baseline_peak` is the peak of the starting
 /// assignment (frozen paths + first candidate for each affected message).
 ///
@@ -275,28 +353,26 @@ pub fn assign_paths_partial(
     let compute =
         |pa: &PathAssignment| UtilizationMap::compute(pa, bounds, activity, intervals, num_links);
 
-    let rerouted: Vec<Vec<Path>> = affected
+    let path_cap = config.path_cap.max(1);
+    let rerouted: Vec<Routes> = affected
         .iter()
         .map(|&m| {
             let p = base.path(m);
-            let alts = topo.shortest_paths(p.source(), p.destination(), config.path_cap);
+            let alts = topo.shortest_paths(p.source(), p.destination(), path_cap);
             assert!(
                 !alts.is_empty(),
                 "affected message {m} has no surviving route {} -> {}",
                 p.source(),
                 p.destination()
             );
-            alts
+            Routes::derive(alts, topo)
         })
         .collect();
-    let mut candidates: Vec<&[Path]> = base.paths().iter().map(std::slice::from_ref).collect();
-    for (&m, alts) in affected.iter().zip(&rerouted) {
-        candidates[m.index()] = alts;
-    }
-
+    let mut candidates = vec![None; base.len()];
     let mut start = base.clone();
-    for &m in affected {
-        start.set_path(m, candidates[m.index()][0].clone(), topo);
+    for (&m, routes) in affected.iter().zip(&rerouted) {
+        candidates[m.index()] = Some(Alternatives { routes, only: None });
+        start.set_path(m, routes.paths[0].clone(), topo);
     }
     let start_peak = compute(&start).effective_peak();
 
@@ -304,7 +380,7 @@ pub fn assign_paths_partial(
         &start,
         start_peak,
         &candidates,
-        topo,
+        num_links,
         bounds,
         intervals,
         activity,
@@ -452,29 +528,34 @@ pub fn assign_paths_partitioned(
     let compute =
         |pa: &PathAssignment| UtilizationMap::compute(pa, bounds, activity, intervals, num_links);
 
-    let candidates: Vec<&[Path]> = tfg
-        .messages()
-        .iter()
-        .map(|m| pool.paths(alloc.node_of(m.src()), alloc.node_of(m.dst())))
-        .collect();
+    let candidates = pool.alternatives(tfg, alloc);
     let baseline = PathAssignment::lsd_to_msd(tfg, topo, alloc);
     let baseline_effective = compute(&baseline).effective_peak();
 
     // A message is interior to part `p` when both endpoints live in `p`
     // AND it has at least two candidate paths confined to `p` (otherwise
     // there is nothing the part-local climb could do with it, and the
-    // stitch pass handles it with the full candidate set instead).
+    // stitch pass handles it with the full candidate set instead). Its
+    // part-local candidates are kept as indices into the pool's list.
     let in_part = |path: &Path, p: usize| path.nodes().iter().all(|n| part_of[n.index()] == p);
-    let home: Vec<Option<usize>> = tfg
-        .messages()
-        .iter()
-        .enumerate()
-        .map(|(i, m)| {
-            let s = part_of[alloc.node_of(m.src()).index()];
-            let d = part_of[alloc.node_of(m.dst()).index()];
-            (s == d && candidates[i].iter().filter(|p| in_part(p, s)).count() > 1).then_some(s)
-        })
-        .collect();
+    let mut home: Vec<Option<usize>> = vec![None; candidates.len()];
+    let mut confined: Vec<Vec<u32>> = vec![Vec::new(); candidates.len()];
+    for (i, m) in tfg.messages().iter().enumerate() {
+        let s = part_of[alloc.node_of(m.src()).index()];
+        let d = part_of[alloc.node_of(m.dst()).index()];
+        if s != d {
+            continue;
+        }
+        let inside = candidates[i].routes.paths.iter().enumerate();
+        let inside: Vec<u32> = inside
+            .filter(|(_, path)| in_part(path, s))
+            .map(|(j, _)| j as u32)
+            .collect();
+        if inside.len() > 1 {
+            home[i] = Some(s);
+            confined[i] = inside;
+        }
+    }
 
     let num_parts = part_of.iter().copied().max().map_or(1, |m| m + 1);
     let part_ids: Vec<usize> = (0..num_parts)
@@ -484,23 +565,14 @@ pub fn assign_paths_partitioned(
         // Part-local problem: this part's interior messages keep their
         // in-part candidates, everything else is frozen at baseline (the
         // frozen load is exactly what the other parts see too).
-        let members: Vec<usize> = (0..candidates.len())
-            .filter(|&i| home[i] == Some(pid))
-            .collect();
-        let interior: Vec<Vec<Path>> = members
-            .iter()
-            .map(|&i| {
-                candidates[i]
-                    .iter()
-                    .filter(|p| in_part(p, pid))
-                    .cloned()
-                    .collect()
+        let cand: Vec<_> = (0..candidates.len())
+            .map(|i| {
+                (home[i] == Some(pid)).then(|| Alternatives {
+                    routes: candidates[i].routes,
+                    only: Some(&confined[i]),
+                })
             })
             .collect();
-        let mut cand: Vec<&[Path]> = baseline.paths().iter().map(std::slice::from_ref).collect();
-        for (&i, alts) in members.iter().zip(&interior) {
-            cand[i] = alts;
-        }
         let mut rng = StdRng::seed_from_u64(
             config
                 .seed
@@ -510,7 +582,7 @@ pub fn assign_paths_partitioned(
             &baseline,
             baseline_effective,
             &cand,
-            topo,
+            num_links,
             bounds,
             intervals,
             activity,
@@ -551,22 +623,17 @@ pub fn assign_paths_partitioned(
     // Boundary stitch: only messages without a home part may move, now
     // with their full candidate sets; every interior message is frozen at
     // its merged path.
-    let mut cand: Vec<&[Path]> = stitch_start
-        .paths()
+    let cand: Vec<_> = candidates
         .iter()
-        .map(std::slice::from_ref)
+        .zip(&home)
+        .map(|(&alts, h)| h.is_none().then_some(alts))
         .collect();
-    for (i, alts) in candidates.iter().enumerate() {
-        if home[i].is_none() {
-            cand[i] = alts;
-        }
-    }
     let mut rng = StdRng::seed_from_u64(config.seed);
     let stitch = hill_climb(
         &stitch_start,
         stitch_peak,
         &cand,
-        topo,
+        num_links,
         bounds,
         intervals,
         activity,
@@ -598,18 +665,21 @@ struct Climb {
 /// The restart loop shared by [`assign_paths_pooled`],
 /// [`assign_paths_partial`] and [`assign_paths_partitioned`]: polish `start`
 /// with [`improve`], then explore random restarts over `candidates`,
-/// keeping the best peak seen.
+/// keeping the best peak seen. `candidates[i]` is `None` for a message
+/// frozen at its `start` path.
 ///
-/// One [`UtilEval`] serves the whole climb: `improve` runs its trials
-/// against it, the converged peak is read from it, and a restart moves it
-/// to the freshly drawn assignment by rerouting only the messages whose
-/// draw differs from their current path.
+/// One [`UtilEval`] serves the whole climb and is its working assignment:
+/// `improve` runs its trials against it, the converged peak is read from
+/// it, a restart moves it to the freshly drawn assignment (a draw equal to
+/// the route a message already has changes nothing), and an owned
+/// [`PathAssignment`] is built from it only when the climb records a new
+/// best.
 #[allow(clippy::too_many_arguments)]
 fn hill_climb(
     start: &PathAssignment,
     start_peak: f64,
-    candidates: &[&[Path]],
-    topo: &dyn Topology,
+    candidates: &[Option<Alternatives<'_>>],
+    num_links: usize,
     bounds: &TimeBounds,
     intervals: &Intervals,
     activity: &ActivityMatrix,
@@ -619,7 +689,10 @@ fn hill_climb(
     // A peak below this is impossible: each message needs at least
     // duration/active-time of whichever links it ends up on.
     let lower_bound = (0..candidates.len())
-        .filter(|&i| !candidates[i].is_empty() && candidates[i][0].hops() > 0)
+        .filter(|&i| match candidates[i] {
+            Some(alts) => alts.len() > 0 && alts.routes.hops > 0,
+            None => start.path(MessageId(i)).hops() > 0,
+        })
         .map(|i| {
             let m = MessageId(i);
             let at = activity.active_time(m, intervals);
@@ -638,20 +711,26 @@ fn hill_climb(
     let mut restarts = 0;
     let mut trials = 0;
 
-    let mut current = start.clone();
-    let mut eval = UtilEval::new(&current, bounds, activity, intervals, topo.num_links());
+    let start_rows = start.link_rows();
+    let mut eval = UtilEval::new(
+        start.routes(&start_rows),
+        bounds,
+        activity,
+        intervals,
+        num_links,
+    );
     loop {
-        trials += improve(&mut current, &mut eval, candidates, topo, config.max_inner);
+        trials += improve(&mut eval, candidates, config.max_inner);
         let peak = eval.effective_peak();
         debug_assert_eq!(
             peak.to_bits(),
-            UtilizationMap::compute(&current, bounds, activity, intervals, topo.num_links())
+            UtilizationMap::compute(&eval.assignment(), bounds, activity, intervals, num_links)
                 .effective_peak()
                 .to_bits(),
             "incremental evaluator drifted from a full recomputation"
         );
         if peak < best_peak - EPS {
-            best = Some(current.clone());
+            best = Some(eval.assignment());
             best_peak = peak;
         }
         restarts += 1;
@@ -660,16 +739,13 @@ fn hill_climb(
         }
         // One draw per message, in message order, whether or not it can
         // move — the RNG stream is part of the heuristic's identity.
-        let redrawn: Vec<(MessageId, Path)> = candidates
-            .iter()
-            .enumerate()
-            .filter_map(|(i, alts)| {
-                let drawn = &alts[rng.gen_range(0..alts.len())];
-                let m = MessageId(i);
-                (drawn != current.path(m)).then(|| (m, drawn.clone()))
-            })
-            .collect();
-        eval.set_paths(&mut current, redrawn, topo);
+        eval.set_paths(candidates.iter().enumerate().filter_map(|(i, alts)| {
+            let Some(alts) = alts else {
+                rng.gen_range(0..1);
+                return None;
+            };
+            Some((MessageId(i), alts.get(rng.gen_range(0..alts.len()))))
+        }));
     }
 
     Climb {
@@ -686,20 +762,20 @@ fn hill_climb(
 /// reroute trials evaluated.
 ///
 /// Trials run against the climb's incrementally maintained [`UtilEval`] —
-/// apply the candidate path, read the peak, apply the original path back —
-/// instead of cloning the assignment and recomputing every link per trial.
-/// The evaluator's figures are bitwise identical to a full
-/// [`UtilizationMap::compute`], so every accept/reposition decision (and
-/// hence the heuristic's output) is unchanged.
-fn improve(
-    current: &mut PathAssignment,
-    eval: &mut UtilEval<'_>,
-    candidates: &[&[Path]],
-    topo: &dyn Topology,
+/// apply the candidate route, read the peak, apply the original route back —
+/// instead of cloning the assignment and recomputing every link per trial;
+/// a route is a pair of references into the pool, so a trial copies no path
+/// and allocates nothing. The evaluator's figures are bitwise identical to a
+/// full [`UtilizationMap::compute`], so every accept/reposition decision
+/// (and hence the heuristic's output) is unchanged.
+fn improve<'a>(
+    eval: &mut UtilEval<'a>,
+    candidates: &[Option<Alternatives<'a>>],
     max_inner: usize,
 ) -> u64 {
     let mut trials = 0;
     let mut seen_positions: Vec<(u64, Option<Hotspot>)> = Vec::new();
+    let mut reroutable: Vec<(MessageId, Alternatives<'a>)> = Vec::new();
     for _ in 0..max_inner {
         let peak = eval.effective_peak();
         if peak <= EPS {
@@ -718,52 +794,49 @@ fn improve(
         // Messages crossing the peak link (restricted to the hot interval
         // for a spot peak).
         let (Hotspot::Link(l) | Hotspot::Spot(l, _) | Hotspot::Group(l)) = location;
-        let reroutable: Vec<MessageId> = eval
-            .messages_on(l)
-            .iter()
-            .filter(|&&i| candidates[i].len() > 1)
-            .map(|&i| MessageId(i))
-            .collect();
+        reroutable.clear();
+        reroutable.extend(eval.messages_on(l).iter().filter_map(|&i| {
+            let alts = candidates[i].filter(|alts| alts.len() > 1)?;
+            Some((MessageId(i), alts))
+        }));
 
-        let mut best_reduce: Option<(MessageId, usize, f64)> = None;
-        let mut reposition: Option<(MessageId, usize)> = None;
-        for &m in &reroutable {
-            let original = current.path(m).clone();
+        let mut best_reduce: Option<(MessageId, Route<'a>, f64)> = None;
+        let mut reposition: Option<(MessageId, Route<'a>)> = None;
+        for &(m, alts) in &reroutable {
+            let original = eval.route(m);
             let mut moved = false;
-            for (pi, alt) in candidates[m.index()].iter().enumerate() {
-                if *alt == original {
+            for alt in alts.iter() {
+                if alt.path == original.path {
                     continue;
                 }
                 // Chain trials without undoing in between: the evaluator's
                 // state is a pure function of the assignment, so applying
                 // alt_i+1 over alt_i equals undo-then-apply, at half the
                 // link recomputations.
-                eval.set_path(current, m, alt.clone(), topo);
+                eval.set_path(m, alt);
                 trials += 1;
                 moved = true;
                 let tp = eval.effective_peak();
                 if tp < peak - EPS {
                     if best_reduce.is_none_or(|(_, _, bp)| tp < bp - EPS) {
-                        best_reduce = Some((m, pi, tp));
+                        best_reduce = Some((m, alt, tp));
                     }
                 } else if reposition.is_none()
                     && (tp - peak).abs() <= EPS
                     && eval.effective_location() != Some(location)
                 {
-                    reposition = Some((m, pi));
+                    reposition = Some((m, alt));
                 }
             }
             if moved {
-                eval.set_path(current, m, original, topo);
+                eval.set_path(m, original);
             }
         }
 
-        if let Some((m, pi, _)) = best_reduce {
-            let p = candidates[m.index()][pi].clone();
-            eval.set_path(current, m, p, topo);
-        } else if let Some((m, pi)) = reposition {
-            let p = candidates[m.index()][pi].clone();
-            eval.set_path(current, m, p, topo);
+        if let Some((m, route, _)) = best_reduce {
+            eval.set_path(m, route);
+        } else if let Some((m, route)) = reposition {
+            eval.set_path(m, route);
         } else {
             break; // converged: no reroute changes the peak at all
         }
@@ -939,6 +1012,107 @@ mod tests {
         );
         assert_eq!(direct.assignment, pooled.assignment);
         assert_eq!(direct.restarts, pooled.restarts);
+    }
+
+    /// A pooled link row is its path's `Path::links`, hop for hop, on every
+    /// topology family and on a masked fabric — the climb never derives a
+    /// row again, so this is where the two are tied together.
+    #[test]
+    fn pooled_link_rows_equal_path_links_on_every_topology() {
+        let torus = sr_topology::Torus::new(&[4, 5]).unwrap();
+        let ghc = GeneralizedHypercube::new(&[4, 3, 2]).unwrap();
+        let mesh = sr_topology::Mesh::new(&[3, 4]).unwrap();
+        let faults = sr_topology::FaultSet::random_links(&torus, 6, 3).fail_node(NodeId(7));
+        let masked = sr_topology::MaskedTopology::new(&torus, faults);
+        let topos: [&dyn Topology; 4] = [&torus, &ghc, &mesh, &masked];
+        for topo in topos {
+            let pool = PathPool::new(topo, 16);
+            let mut rows = 0;
+            for src in (0..topo.num_nodes()).map(NodeId) {
+                for dst in (0..topo.num_nodes()).map(NodeId) {
+                    let routes = pool.routes(src, dst);
+                    assert_eq!(routes.paths, topo.shortest_paths(src, dst, 16));
+                    assert_eq!(pool.paths(src, dst), &routes.paths[..]);
+                    for j in 0..routes.len() {
+                        let route = routes.get(j);
+                        assert!(std::ptr::eq(route.path, &routes.paths[j]));
+                        let derived: Vec<u32> = route
+                            .path
+                            .links(topo)
+                            .into_iter()
+                            .map(compact_link)
+                            .collect();
+                        assert_eq!(route.links, &derived[..], "{} {}", topo.name(), route.path);
+                        rows += 1;
+                    }
+                }
+            }
+            assert!(
+                rows > topo.num_nodes() * topo.num_nodes(),
+                "{}",
+                topo.name()
+            );
+        }
+    }
+
+    #[test]
+    fn each_assign_paths_call_looks_every_message_up_once() {
+        let s = contended_setup();
+        let cfg = AssignPathsConfig::default();
+        let pool = PathPool::new(&s.topo, cfg.path_cap);
+        let messages = s.tfg.messages().len() as u64;
+        assign_paths_pooled(
+            &s.tfg,
+            &s.topo,
+            &s.alloc,
+            &s.bounds,
+            &s.intervals,
+            &s.activity,
+            &cfg,
+            &pool,
+        );
+        assert_eq!(pool.stats(), (0, messages));
+        let part_of = band_partition(s.topo.num_nodes(), 2);
+        assign_paths_partitioned(
+            &s.tfg,
+            &s.topo,
+            &s.alloc,
+            &s.bounds,
+            &s.intervals,
+            &s.activity,
+            &cfg,
+            &pool,
+            &part_of,
+            1,
+        );
+        assert_eq!(pool.stats(), (messages, messages));
+    }
+
+    /// `path_cap = 0` means "at least the one route", as it does for the
+    /// pool — it used to leave every affected message without candidates and
+    /// panic with "has no surviving route".
+    #[test]
+    fn partial_reroute_clamps_a_zero_path_cap_like_the_pool() {
+        let s = contended_setup();
+        let base = PathAssignment::lsd_to_msd(&s.tfg, &s.topo, &s.alloc);
+        let run = |path_cap| {
+            assign_paths_partial(
+                &s.topo,
+                &s.bounds,
+                &s.intervals,
+                &s.activity,
+                &base,
+                &[MessageId(0), MessageId(1)],
+                &AssignPathsConfig {
+                    path_cap,
+                    ..AssignPathsConfig::default()
+                },
+            )
+        };
+        let (zero, one) = (run(0), run(1));
+        assert_eq!(zero.assignment, one.assignment);
+        assert_eq!(zero.assignment, base);
+        assert_eq!(PathPool::new(&s.topo, 0).cap(), 1);
     }
 
     #[test]

@@ -13,6 +13,25 @@ pub struct PathAssignment {
     links: Vec<Vec<LinkId>>,
 }
 
+/// One route a message can take, by reference: the node path and its link
+/// row (the links traversed, in hop order, as compact `u32` ids). The
+/// `AssignPaths` climb moves these around instead of cloning paths, so a
+/// reroute trial never derives a link list.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Route<'a> {
+    pub(crate) path: &'a Path,
+    pub(crate) links: &'a [u32],
+}
+
+/// A link id as the `u32` the link rows store.
+///
+/// # Panics
+///
+/// Panics if the id does not fit (a fabric with more than `u32::MAX` links).
+pub(crate) fn compact_link(link: LinkId) -> u32 {
+    u32::try_from(link.index()).expect("link ids must fit a u32 link row")
+}
+
 impl PathAssignment {
     /// Builds an assignment from explicit per-message paths.
     ///
@@ -37,6 +56,36 @@ impl PathAssignment {
             .map(|m| topo.dimension_order_path(alloc.node_of(m.src()), alloc.node_of(m.dst())))
             .collect();
         Self::new(paths, topo)
+    }
+
+    /// The assignment giving message `i` the route `routes[i]` — the link
+    /// rows are taken as given, not derived again.
+    pub(crate) fn from_routes(routes: &[Route<'_>]) -> Self {
+        PathAssignment {
+            paths: routes.iter().map(|r| r.path.clone()).collect(),
+            links: routes
+                .iter()
+                .map(|r| r.links.iter().map(|&l| LinkId(l as usize)).collect())
+                .collect(),
+        }
+    }
+
+    /// Every message's link row as `u32` ids, back to back in message order
+    /// — the arena a climb's starting [`Route`]s borrow.
+    pub(crate) fn link_rows(&self) -> Vec<u32> {
+        let rows = self.links.iter().flatten();
+        rows.map(|&l| compact_link(l)).collect()
+    }
+
+    /// One [`Route`] per message, borrowing the paths from `self` and the
+    /// link rows from `rows` (which must be `self.link_rows()`).
+    pub(crate) fn routes<'a>(&'a self, mut rows: &'a [u32]) -> Vec<Route<'a>> {
+        let routes = self.paths.iter().zip(&self.links).map(|(path, row)| {
+            let (links, rest) = rows.split_at(row.len());
+            rows = rest;
+            Route { path, links }
+        });
+        routes.collect()
     }
 
     /// Number of messages covered.

@@ -1,6 +1,7 @@
 use sr_tfg::{MessageId, TimeBounds};
 use sr_topology::LinkId;
 
+use crate::assignment::Route;
 use crate::{ActivityMatrix, Intervals, PathAssignment};
 
 /// Where the peak utilization sits: an overloaded link over the whole frame,
@@ -78,32 +79,55 @@ impl MsgInputs {
     }
 }
 
-/// Reusable per-link work buffers (one interval slot each).
+/// Reusable per-link work buffers.
 struct LinkScratch {
+    /// List path only (frames with more than 64 intervals): which intervals
+    /// the current link has marked, and the marked ones. Both are left
+    /// clear between calls, so one link costs O(its active entries), not
+    /// O(K).
     used: Vec<bool>,
-    spots: Vec<usize>,
-    /// Intervals marked by the current call, ascending after
-    /// [`link_figures`] returns. Cleared lazily at the next call, so one
-    /// link costs O(its active entries) rather than O(K) — and links with
-    /// no traffic are free.
     marked: Vec<usize>,
+    /// No-slack message count per interval; all zero between calls.
+    counts: Vec<usize>,
+    /// Distinct activity signatures of the word-parallel Hall bound.
+    sigs: Vec<u64>,
+    /// The last link's spot utilizations `(interval, no-slack count)`,
+    /// ascending by interval, entries with a count of 0 left out —
+    /// [`link_figures`]' second result.
+    spots: Vec<(usize, usize)>,
 }
 
 impl LinkScratch {
     fn new(k_count: usize) -> Self {
         LinkScratch {
             used: vec![false; k_count],
-            spots: vec![0; k_count],
             marked: Vec::new(),
+            counts: vec![0; k_count],
+            sigs: Vec::new(),
+            spots: Vec::new(),
         }
     }
 }
 
-/// One link's derived quantities. `spots` lives in the caller's scratch.
+/// One link's derived quantities. Its spot counts are left in the caller's
+/// scratch ([`LinkScratch::spots`]).
 struct LinkFigures {
     tx: f64,
     util: f64,
     hall: f64,
+}
+
+/// Total length of the intervals in `set`, summed in ascending interval
+/// order — the order a sorted interval list is summed in, so both give the
+/// same bits.
+fn mask_length(set: u64, intervals: &Intervals) -> f64 {
+    let mut len = 0.0f64;
+    let mut rest = set;
+    while rest != 0 {
+        len += intervals.length(rest.trailing_zeros() as usize);
+        rest &= rest - 1;
+    }
+    len
 }
 
 /// Computes one link's utilization figures from its (ascending) message
@@ -112,48 +136,78 @@ struct LinkFigures {
 /// call it, so their floating-point results are bitwise identical by
 /// construction (contributions always accumulate in ascending message
 /// order).
+///
+/// When the frame has at most 64 intervals ([`MsgInputs::masks`]) the
+/// active-interval union is an OR of the messages' masks and only no-slack
+/// messages walk their interval lists; otherwise every message marks its
+/// intervals in `scratch`. Either way the union's length is summed by
+/// ascending interval, so the two paths agree bitwise.
 fn link_figures(
     msgs: &[usize],
     inputs: &MsgInputs,
     intervals: &Intervals,
     scratch: &mut LinkScratch,
 ) -> LinkFigures {
-    for &k in &scratch.marked {
-        scratch.used[k] = false;
-        scratch.spots[k] = 0;
-    }
-    scratch.marked.clear();
+    scratch.spots.clear();
     let mut tx = 0.0f64;
-    for &i in msgs {
-        tx += inputs.durations[i];
-        let no_slack = inputs.no_slack[i];
-        for &k in &inputs.actives[i] {
-            if !scratch.used[k] {
-                scratch.used[k] = true;
-                scratch.marked.push(k);
-            }
-            if no_slack {
-                scratch.spots[k] += 1;
+    let active_len = if let Some(masks) = &inputs.masks {
+        let mut active = 0u64;
+        let mut tight = 0u64;
+        for &i in msgs {
+            tx += inputs.durations[i];
+            active |= masks[i];
+            if inputs.no_slack[i] {
+                tight |= masks[i];
+                for &k in &inputs.actives[i] {
+                    scratch.counts[k] += 1;
+                }
             }
         }
-    }
-    scratch.marked.sort_unstable();
+        while tight != 0 {
+            let k = tight.trailing_zeros() as usize;
+            scratch
+                .spots
+                .push((k, std::mem::take(&mut scratch.counts[k])));
+            tight &= tight - 1;
+        }
+        mask_length(active, intervals)
+    } else {
+        for &i in msgs {
+            tx += inputs.durations[i];
+            let no_slack = inputs.no_slack[i];
+            for &k in &inputs.actives[i] {
+                if !scratch.used[k] {
+                    scratch.used[k] = true;
+                    scratch.marked.push(k);
+                }
+                if no_slack {
+                    scratch.counts[k] += 1;
+                }
+            }
+        }
+        scratch.marked.sort_unstable();
+        let mut len = 0.0f64;
+        for k in scratch.marked.drain(..) {
+            len += intervals.length(k);
+            scratch.used[k] = false;
+            let c = std::mem::take(&mut scratch.counts[k]);
+            if c > 0 {
+                scratch.spots.push((k, c));
+            }
+        }
+        len
+    };
     let util = if tx <= 0.0 {
         0.0
+    } else if active_len > 0.0 {
+        tx / active_len
     } else {
-        // Ascending-interval summation, exactly as a dense 0..K filter
-        // scan would accumulate it.
-        let denom: f64 = scratch.marked.iter().map(|&k| intervals.length(k)).sum();
-        if denom > 0.0 {
-            tx / denom
-        } else {
-            f64::INFINITY
-        }
+        f64::INFINITY
     };
     LinkFigures {
         tx,
         util,
-        hall: hall_bound(msgs, inputs, intervals),
+        hall: hall_bound(msgs, inputs, intervals, &mut scratch.sigs),
     }
 }
 
@@ -163,12 +217,17 @@ fn link_figures(
 /// see such sub-window overloads (the paper notes its conditions are only
 /// necessary); this bound catches the common case of same-release messages
 /// funneling into one link.
-fn hall_bound(msgs: &[usize], inputs: &MsgInputs, intervals: &Intervals) -> f64 {
+fn hall_bound(
+    msgs: &[usize],
+    inputs: &MsgInputs,
+    intervals: &Intervals,
+    sigs: &mut Vec<u64>,
+) -> f64 {
     if msgs.len() < 2 {
         return 0.0;
     }
     if let Some(masks) = &inputs.masks {
-        return hall_bound_masked(msgs, inputs, masks, intervals);
+        return hall_bound_masked(msgs, inputs, masks, intervals, sigs);
     }
     let sigs: Vec<Vec<usize>> = {
         let mut s: Vec<Vec<usize>> = msgs.iter().map(|&i| inputs.actives[i].clone()).collect();
@@ -210,24 +269,21 @@ fn hall_bound(msgs: &[usize], inputs: &MsgInputs, intervals: &Intervals) -> f64 
 /// the list path's, and each candidate's length and demand are summed in
 /// ascending interval / ascending message order, so the returned maximum is
 /// bitwise identical — only the order candidates are *visited* in differs,
-/// which a max over identical values cannot observe.
+/// which a max over identical values cannot observe. `sigs` is scratch.
 fn hall_bound_masked(
     msgs: &[usize],
     inputs: &MsgInputs,
     masks: &[u64],
     intervals: &Intervals,
+    sigs: &mut Vec<u64>,
 ) -> f64 {
-    let mut sigs: Vec<u64> = msgs.iter().map(|&i| masks[i]).collect();
+    sigs.clear();
+    sigs.extend(msgs.iter().map(|&i| masks[i]));
     sigs.sort_unstable();
     sigs.dedup();
     let mut hall = 0.0f64;
     let mut consider = |s: u64| {
-        let mut len = 0.0f64;
-        let mut t = s;
-        while t != 0 {
-            len += intervals.length(t.trailing_zeros() as usize);
-            t &= t - 1;
-        }
+        let len = mask_length(s, intervals);
         if len <= 0.0 {
             return;
         }
@@ -241,7 +297,7 @@ fn hall_bound_masked(
             hall = ratio;
         }
     };
-    for &s in &sigs {
+    for &s in sigs.iter() {
         consider(s);
     }
     for a in 0..sigs.len() {
@@ -293,14 +349,11 @@ impl UtilizationMap {
                     peak_value = fig.util;
                     peak_at = Some(Hotspot::Link(LinkId(l)));
                 }
-                for &k in &scratch.marked {
-                    let c = scratch.spots[k];
-                    if c > 0 {
-                        spots.push((LinkId(l), k, c));
-                        if c as f64 > peak_value {
-                            peak_value = c as f64;
-                            peak_at = Some(Hotspot::Spot(LinkId(l), k));
-                        }
+                for &(k, c) in &scratch.spots {
+                    spots.push((LinkId(l), k, c));
+                    if c as f64 > peak_value {
+                        peak_value = c as f64;
+                        peak_at = Some(Hotspot::Spot(LinkId(l), k));
                     }
                 }
             }
@@ -462,26 +515,30 @@ impl MaxTree {
 }
 
 /// Incrementally maintained effective-peak evaluator for the `AssignPaths`
-/// hill climb.
+/// hill climb, and the climb's working assignment: it holds one [`Route`]
+/// per message, by reference.
 ///
-/// [`UtilizationMap::compute`] is a pure per-link reduction, so rerouting
-/// messages can only change the figures of links on their old and new
-/// paths. This evaluator caches every link's figures and, on
-/// [`UtilEval::set_paths`], recomputes just the touched links (via the same
-/// [`link_figures`] the full computation uses, over the same
-/// ascending-message lists), feeding each into two [`MaxTree`]s — one keyed
-/// by `max(U^l, spot row maximum)`, one by the Hall bound — whose roots are
-/// the peak. The result is **bitwise identical** to a fresh
-/// `UtilizationMap::compute` of the updated assignment — same peak, same
-/// location, same tie-breaks — while a reroute trial costs `O(touched
-/// links · log L)` instead of `O(messages × links)`.
+/// [`UtilizationMap::compute`] is a pure per-link reduction, and a link's
+/// figures are a function of its message list alone. So rerouting a message
+/// can only change the links on exactly one of its old and new rows: a link
+/// on both keeps its list, hence its figures. On [`UtilEval::set_paths`]
+/// this evaluator updates the lists of that **symmetric difference** and
+/// recomputes just those links (via the same [`link_figures`] the full
+/// computation uses, over the same ascending-message lists), feeding each
+/// into two [`MaxTree`]s — one keyed by `max(U^l, spot row maximum)`, one by
+/// the Hall bound — whose roots are the peak. The result is **bitwise
+/// identical** to a fresh `UtilizationMap::compute` of the updated
+/// assignment — same peak, same location, same tie-breaks — while a reroute
+/// trial costs `O(changed links · log L)` instead of `O(messages × links)`,
+/// copies no path and derives no link list.
 ///
 /// Undo is just another `set_path`: every cached figure is a pure function
-/// of the assignment, so restoring a path restores the evaluator's state
+/// of the assignment, so restoring a route restores the evaluator's state
 /// exactly.
 pub(crate) struct UtilEval<'a> {
     intervals: &'a Intervals,
     inputs: MsgInputs,
+    routes: Vec<Route<'a>>,
     per_link_msgs: Vec<Vec<usize>>,
     link_util: Vec<f64>,
     /// Per link: the row maximum of the no-slack spot counts and the first
@@ -500,17 +557,26 @@ pub(crate) struct UtilEval<'a> {
 }
 
 impl<'a> UtilEval<'a> {
+    /// An evaluator of the assignment that gives message `i` the route
+    /// `routes[i]`.
     pub(crate) fn new(
-        assignment: &PathAssignment,
+        routes: Vec<Route<'a>>,
         bounds: &TimeBounds,
         activity: &ActivityMatrix,
         intervals: &'a Intervals,
         num_links: usize,
     ) -> Self {
+        let mut per_link_msgs: Vec<Vec<usize>> = vec![Vec::new(); num_links];
+        for (i, route) in routes.iter().enumerate() {
+            for &l in route.links {
+                per_link_msgs[l as usize].push(i);
+            }
+        }
         let mut eval = UtilEval {
             intervals,
-            inputs: MsgInputs::new(assignment.len(), bounds, activity, intervals.len()),
-            per_link_msgs: per_link_messages(assignment, num_links),
+            inputs: MsgInputs::new(routes.len(), bounds, activity, intervals.len()),
+            routes,
+            per_link_msgs,
             link_util: vec![0.0; num_links],
             spot_max: vec![0; num_links],
             spot_arg: vec![0; num_links],
@@ -529,44 +595,44 @@ impl<'a> UtilEval<'a> {
         eval
     }
 
-    /// Applies a reroute to `assignment` and brings the evaluator up to
-    /// date with it.
-    pub(crate) fn set_path(
-        &mut self,
-        assignment: &mut PathAssignment,
-        m: MessageId,
-        path: sr_topology::Path,
-        topo: &dyn sr_topology::Topology,
-    ) {
-        self.set_paths(assignment, [(m, path)], topo);
+    /// The route message `m` currently has.
+    pub(crate) fn route(&self, m: MessageId) -> Route<'a> {
+        self.routes[m.index()]
     }
 
-    /// Applies a batch of reroutes as one update: every link on an old or
-    /// new path of any rerouted message is recomputed once, after all the
-    /// message lists have settled.
-    pub(crate) fn set_paths(
-        &mut self,
-        assignment: &mut PathAssignment,
-        reroutes: impl IntoIterator<Item = (MessageId, sr_topology::Path)>,
-        topo: &dyn sr_topology::Topology,
-    ) {
+    /// The current assignment as an owned [`PathAssignment`].
+    pub(crate) fn assignment(&self) -> PathAssignment {
+        PathAssignment::from_routes(&self.routes)
+    }
+
+    /// Moves message `m` onto `route`.
+    pub(crate) fn set_path(&mut self, m: MessageId, route: Route<'a>) {
+        self.set_paths([(m, route)]);
+    }
+
+    /// Applies a batch of reroutes as one update: every link whose message
+    /// list some reroute changed is recomputed once, after all the lists
+    /// have settled. A reroute onto the route a message already has changes
+    /// nothing.
+    pub(crate) fn set_paths(&mut self, reroutes: impl IntoIterator<Item = (MessageId, Route<'a>)>) {
         self.touched.clear();
-        for (m, path) in reroutes {
+        for (m, route) in reroutes {
             let i = m.index();
-            for &l in assignment.links(m) {
-                let v = &mut self.per_link_msgs[l.index()];
+            let old = std::mem::replace(&mut self.routes[i], route).links;
+            let new = route.links;
+            for &l in old.iter().filter(|l| !new.contains(l)) {
+                let v = &mut self.per_link_msgs[l as usize];
                 if let Ok(pos) = v.binary_search(&i) {
                     v.remove(pos);
                 }
-                self.touched.push(l.index());
+                self.touched.push(l as usize);
             }
-            assignment.set_path(m, path, topo);
-            for &l in assignment.links(m) {
-                let v = &mut self.per_link_msgs[l.index()];
+            for &l in new.iter().filter(|l| !old.contains(l)) {
+                let v = &mut self.per_link_msgs[l as usize];
                 if let Err(pos) = v.binary_search(&i) {
                     v.insert(pos, i);
                 }
-                self.touched.push(l.index());
+                self.touched.push(l as usize);
             }
         }
         self.touched.sort_unstable();
@@ -578,8 +644,7 @@ impl<'a> UtilEval<'a> {
         self.touched = touched;
     }
 
-    /// The messages routed over `link`, ascending — equal to
-    /// [`PathAssignment::messages_on`] of the current assignment.
+    /// The messages routed over `link`, ascending.
     pub(crate) fn messages_on(&self, link: LinkId) -> &[usize] {
         &self.per_link_msgs[link.index()]
     }
@@ -633,10 +698,9 @@ impl<'a> UtilEval<'a> {
         );
         let mut smax = 0usize;
         let mut sarg = 0usize;
-        // `marked` is ascending, so the strict `>` lands on the first
+        // The spot row is ascending, so the strict `>` lands on the first
         // interval achieving the row maximum — the dense scan's selection.
-        for &k in &self.scratch.marked {
-            let c = self.scratch.spots[k];
+        for &(k, c) in &self.scratch.spots {
             if c > smax {
                 smax = c;
                 sarg = k;
@@ -701,6 +765,8 @@ mod tests {
     use sr_mapping::Allocation;
     use sr_tfg::{assign_time_bounds, Timing, WindowPolicy};
     use sr_topology::{GeneralizedHypercube, NodeId, Topology};
+
+    use crate::assign_paths::Routes;
 
     /// Two messages forced over the same single link.
     fn shared_link_setup(
@@ -771,7 +837,7 @@ mod tests {
     /// recompute its utilizations from scratch.
     struct Walk {
         topo: Box<dyn Topology>,
-        candidates: Vec<Vec<sr_topology::Path>>,
+        candidates: Vec<Routes>,
         pa: PathAssignment,
         bounds: sr_tfg::TimeBounds,
         intervals: Intervals,
@@ -788,7 +854,10 @@ mod tests {
             let candidates = tfg
                 .messages()
                 .iter()
-                .map(|m| topo.shortest_paths(alloc.node_of(m.src()), alloc.node_of(m.dst()), 64))
+                .map(|m| {
+                    let (s, d) = (alloc.node_of(m.src()), alloc.node_of(m.dst()));
+                    Routes::derive(topo.shortest_paths(s, d, 64), topo.as_ref())
+                })
                 .collect();
             let intervals = Intervals::from_bounds(&bounds);
             let activity = ActivityMatrix::new(&bounds, &intervals);
@@ -813,48 +882,77 @@ mod tests {
             )
         }
 
-        /// Drives `steps` random updates — single reroutes and batches of
-        /// up to 24 — through one evaluator, checking it against a fresh
-        /// full computation and the linear-scan oracle after each.
+        /// Drives `steps` random updates through one evaluator — single
+        /// reroutes, batches of up to 24, batches that reroute one message
+        /// twice, and reroutes onto the route a message already has —
+        /// checking it against a fresh full computation (of an assignment
+        /// kept by `PathAssignment::set_path`, link rows derived through
+        /// the topology) and the linear-scan oracle after each.
         fn check_random_walk(&mut self, seed: u64, steps: usize) {
             use rand::rngs::StdRng;
             use rand::{Rng, SeedableRng};
 
             let mut rng = StdRng::seed_from_u64(seed);
+            let rows = self.pa.link_rows();
+            let start = self.pa.clone();
             let mut eval = UtilEval::new(
-                &self.pa,
+                start.routes(&rows),
                 &self.bounds,
                 &self.activity,
                 &self.intervals,
                 self.topo.num_links(),
             );
+            let candidates = &self.candidates;
+            let draw = |rng: &mut StdRng| {
+                let i = rng.gen_range(0..candidates.len());
+                let alts = &candidates[i];
+                (MessageId(i), alts.get(rng.gen_range(0..alts.len())))
+            };
             for step in 0..steps {
-                let batch = if rng.gen_range(0..3) == 0 {
-                    rng.gen_range(2..=24)
-                } else {
-                    1
+                let kind = rng.gen_range(0..6);
+                let mut reroutes: Vec<(MessageId, Route<'_>)> = match kind {
+                    0 | 1 => (0..rng.gen_range(2..=24)).map(|_| draw(&mut rng)).collect(),
+                    _ => vec![draw(&mut rng)],
                 };
-                let reroutes: Vec<(MessageId, sr_topology::Path)> = (0..batch)
-                    .map(|_| {
-                        let i = rng.gen_range(0..self.candidates.len());
-                        let alts = &self.candidates[i];
-                        (MessageId(i), alts[rng.gen_range(0..alts.len())].clone())
-                    })
-                    .collect();
-                eval.set_paths(&mut self.pa, reroutes, self.topo.as_ref());
+                if kind == 1 {
+                    // The batch's first message moves again at its end.
+                    let m = reroutes[0].0;
+                    let alts = &candidates[m.index()];
+                    reroutes.push((m, alts.get(rng.gen_range(0..alts.len()))));
+                }
+                if kind == 2 {
+                    // Onto the route it already has: nothing may change,
+                    // nothing may be recomputed.
+                    let m = reroutes[0].0;
+                    let Some(same) = (0..candidates[m.index()].len())
+                        .map(|j| candidates[m.index()].get(j))
+                        .find(|r| r.path == eval.route(m).path)
+                    else {
+                        continue;
+                    };
+                    let before = eval.link_recomputes();
+                    eval.set_path(m, same);
+                    assert_eq!(eval.link_recomputes(), before, "seed {seed} step {step}");
+                } else {
+                    for &(m, route) in &reroutes {
+                        self.pa.set_path(m, route.path.clone(), self.topo.as_ref());
+                    }
+                    eval.set_paths(reroutes);
+                }
+                assert_eq!(eval.assignment(), self.pa, "seed {seed} step {step}");
 
                 let full = self.full();
                 let got = (eval.effective_peak(), eval.effective_location());
                 assert_eq!(
                     (got.0.to_bits(), got.1),
                     (full.effective_peak().to_bits(), full.effective_location()),
-                    "seed {seed} step {step} (batch {batch}): evaluator {got:?} vs full compute"
+                    "seed {seed} step {step} (kind {kind}): evaluator {got:?} vs full compute"
                 );
                 let oracle = eval.rescan_oracle();
                 assert_eq!(
                     (got.0.to_bits(), got.1),
                     (oracle.0.to_bits(), oracle.1),
-                    "seed {seed} step {step} (batch {batch}): trees {got:?} vs linear scan"
+                    "seed {seed} step {step} (kind {kind}): trees {got:?} vs linear scan"
                 );
             }
         }
@@ -914,6 +1012,127 @@ mod tests {
         Walk::new(Box::new(topo), &tfg, &alloc, bounds)
     }
 
+    /// Eight messages between antipodal corners of the binary 6-cube, the
+    /// sources clustered around node 0: each has 64 (capped) of its 720
+    /// six-hop routes, enumerated lexicographically, so alternatives share
+    /// prefixes, suffixes or both — the rows whose symmetric difference is
+    /// neither empty nor everything.
+    fn antipodal_6cube(policy: WindowPolicy) -> Walk {
+        let topo = GeneralizedHypercube::binary(6).unwrap();
+        let mut b = sr_tfg::TfgBuilder::new();
+        let mut placement = Vec::new();
+        for (i, src) in [0usize, 1, 2, 3, 4, 8, 16, 32].into_iter().enumerate() {
+            // Awkward sizes: interval lengths that are not dyadic, so a sum
+            // taken in another order rounds differently.
+            let s = b.task(format!("s{i}"), 403 + 57 * i as u64);
+            let d = b.task(format!("d{i}"), 500);
+            b.message(format!("m{i}"), s, d, 641 * (1 + i as u64 % 3))
+                .unwrap();
+            placement.extend([NodeId(src), NodeId(src ^ 0b11_1111)]);
+        }
+        let tfg = b.build().unwrap();
+        let timing = Timing::new(64.0, 10.0);
+        let alloc = Allocation::new(placement, &tfg, &topo).unwrap();
+        let bounds = assign_time_bounds(&tfg, &timing, 123.4, policy).unwrap();
+        Walk::new(Box::new(topo), &tfg, &alloc, bounds)
+    }
+
+    /// A 48-task chain with pairwise different task lengths under tight
+    /// windows: well over 64 distinct window endpoints, so `MsgInputs` has
+    /// no masks and every figure comes from the list path.
+    fn long_frame_chain() -> Walk {
+        let topo = GeneralizedHypercube::binary(6).unwrap();
+        let mut b = sr_tfg::TfgBuilder::new();
+        let tasks: Vec<_> = (0..48u64)
+            .map(|i| b.task(format!("t{i}"), 300 + 37 * i))
+            .collect();
+        for (i, w) in tasks.windows(2).enumerate() {
+            b.message(format!("m{i}"), w[0], w[1], 640 + 64 * (i as u64 % 5))
+                .unwrap();
+        }
+        let tfg = b.build().unwrap();
+        let timing = Timing::new(64.0, 10.0);
+        let alloc = sr_mapping::random_distinct(&tfg, &topo, 11).unwrap();
+        let period = timing.longest_task(&tfg) * 1.5;
+        let bounds = assign_time_bounds(&tfg, &timing, period, WindowPolicy::Tight).unwrap();
+        Walk::new(Box::new(topo), &tfg, &alloc, bounds)
+    }
+
+    #[test]
+    fn antipodal_alternatives_share_prefixes_and_suffixes() {
+        let walk = antipodal_6cube(WindowPolicy::LongestTask);
+        let alts = &walk.candidates[0];
+        assert_eq!(alts.len(), 64);
+        let (a, b) = (alts.get(0).links, alts.get(1).links);
+        assert_eq!(a[..4], b[..4], "consecutive alternatives share a prefix");
+        assert_ne!(a, b);
+        assert!(
+            (2..alts.len()).any(|j| {
+                let c = alts.get(j).links;
+                c[0] == a[0] && c[5] == a[5] && c[3] != a[3]
+            }),
+            "some alternative shares both ends and differs in the middle"
+        );
+    }
+
+    #[test]
+    fn long_frame_takes_the_list_path() {
+        let walk = long_frame_chain();
+        assert!(
+            walk.intervals.len() > 64,
+            "{} intervals",
+            walk.intervals.len()
+        );
+        let inputs = MsgInputs::new(
+            walk.pa.len(),
+            &walk.bounds,
+            &walk.activity,
+            walk.intervals.len(),
+        );
+        assert!(inputs.masks.is_none());
+    }
+
+    /// The word-parallel figures are the list path's, bit for bit: same
+    /// transmission time, utilization, Hall bound and spot row for every
+    /// link of every workload that fits 64 intervals.
+    #[test]
+    fn word_parallel_link_figures_equal_the_list_path_bitwise() {
+        let walks = [
+            tiled_farm_16x16(),
+            tight_fanout(),
+            antipodal_6cube(WindowPolicy::LongestTask),
+            antipodal_6cube(WindowPolicy::Tight),
+        ];
+        let mut spot_rows = 0;
+        for (w, walk) in walks.iter().enumerate() {
+            let k_count = walk.intervals.len();
+            let mut inputs = MsgInputs::new(walk.pa.len(), &walk.bounds, &walk.activity, k_count);
+            assert!(inputs.masks.is_some(), "walk {w} has {k_count} intervals");
+            let per_link = per_link_messages(&walk.pa, walk.topo.num_links());
+            let mut scratch = LinkScratch::new(k_count);
+            let mut figures = |inputs: &MsgInputs| -> Vec<_> {
+                per_link
+                    .iter()
+                    .map(|msgs| {
+                        let f = link_figures(msgs, inputs, &walk.intervals, &mut scratch);
+                        let bits = [f.tx.to_bits(), f.util.to_bits(), f.hall.to_bits()];
+                        (bits, scratch.spots.clone())
+                    })
+                    .collect()
+            };
+            let word = figures(&inputs);
+            inputs.masks = None;
+            let list = figures(&inputs);
+            assert_eq!(word, list, "walk {w}");
+            assert!(
+                word.iter().any(|(bits, _)| bits[0] != 0),
+                "walk {w} carries no traffic"
+            );
+            spot_rows += word.iter().filter(|(_, spots)| !spots.is_empty()).count();
+        }
+        assert!(spot_rows > 0, "no walk has a no-slack message on a link");
+    }
+
     /// The incremental evaluator's contract is *bitwise* agreement with a
     /// fresh full computation after any sequence of reroutes — that is what
     /// lets the hill climb swap one in for the other without changing a
@@ -967,6 +1186,17 @@ mod tests {
         #[test]
         fn tournament_eval_matches_full_compute_on_spot_peaks(seed in proptest::prelude::any::<u64>()) {
             tight_fanout().check_random_walk(seed, 60);
+        }
+
+        #[test]
+        fn tournament_eval_matches_full_compute_on_shared_prefixes(seed in proptest::prelude::any::<u64>()) {
+            antipodal_6cube(WindowPolicy::LongestTask).check_random_walk(seed, 60);
+            antipodal_6cube(WindowPolicy::Tight).check_random_walk(seed, 60);
+        }
+
+        #[test]
+        fn tournament_eval_matches_full_compute_on_long_frames(seed in proptest::prelude::any::<u64>()) {
+            long_frame_chain().check_random_walk(seed, 40);
         }
     }
 
