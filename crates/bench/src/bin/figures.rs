@@ -13,7 +13,8 @@
 //! DVB workload on N×N tori (default 8x8 → 32x32 → 64x64, the 64 → 1024 →
 //! 4096-node trajectory), written as `BENCH_scale.json` (`--json` to move
 //! it). `--budget-s` makes the run fail if any compile exceeds the
-//! wall-clock budget — the CI smoke gate.
+//! wall-clock budget — the CI smoke gate. A partitioned sweep also fails
+//! when a climb of the tiled farm was not certified at its lower bound.
 
 use std::path::PathBuf;
 
@@ -356,7 +357,8 @@ fn sync_ablation() {
 
 /// The scaling sweep: compile + verify the tiled DVB workload on each N×N
 /// torus, print the trajectory, write `BENCH_scale.json`, and enforce the
-/// wall-clock budget. Returns false when the gate fails.
+/// wall-clock budget and — partitioned — that every climb was certified.
+/// Returns false when the gate fails.
 fn scale_sweep(args: &Args) -> bool {
     let extents = if args.scale_extents.is_empty() {
         vec![8, 32, 64, 128] // the 64 → 1024 → 4096 → 16384-node trajectory
@@ -398,6 +400,16 @@ fn scale_sweep(args: &Args) -> bool {
         // The trajectory is gated on feasibility first, then wall-clock.
         if let Err(e) = &p.outcome {
             eprintln!("INFEASIBLE: {}: {e}", p.platform);
+            ok = false;
+        }
+        // Every part-local climb of the tiled farm starts at its lower bound
+        // (the peak sits on links the part cannot relieve) and so does the
+        // stitch; a climb that runs means the certificate stopped firing.
+        if !args.scale_flat && p.certified_climbs < p.climbs {
+            eprintln!(
+                "UNCERTIFIED: {}: {} of {} climbs certified ({} restarts)",
+                p.platform, p.certified_climbs, p.climbs, p.restarts
+            );
             ok = false;
         }
         if let Some(budget) = args.scale_budget_s {

@@ -57,6 +57,25 @@ pub struct UtilizationPoint {
     pub lsd_peak: f64,
     /// Peak utilization after `AssignPaths`.
     pub final_peak: f64,
+    /// Lower bound on the peak utilization of *any* path assignment over
+    /// the enumerated alternatives ([`sr::core::AssignPathsOutcome`]).
+    pub lower_bound: f64,
+}
+
+impl UtilizationPoint {
+    /// `U / lower_bound − 1`: the most a better heuristic could still gain.
+    pub fn gap(&self) -> f64 {
+        optimality_gap(self.final_peak, self.lower_bound)
+    }
+}
+
+/// `peak / lower_bound − 1`, and 0 for an idle network (both 0).
+pub fn optimality_gap(peak: f64, lower_bound: f64) -> f64 {
+    if lower_bound > 0.0 {
+        peak / lower_bound - 1.0
+    } else {
+        0.0
+    }
 }
 
 /// One min/mid/max spike, as the paper draws for wormhole routing.
@@ -230,6 +249,7 @@ pub fn figure_utilization(platform: &Platform, seed: u64) -> Vec<UtilizationPoin
             load: tau_c / period,
             lsd_peak: outcome.baseline_peak,
             final_peak: outcome.utilization.effective_peak(),
+            lower_bound: outcome.lower_bound,
         }
     })
 }
@@ -335,12 +355,18 @@ fn failure_stage(e: &CompileError) -> String {
 
 /// Renders a utilization series as a Markdown table (Figs. 5–6 rows).
 pub fn utilization_markdown(name: &str, points: &[UtilizationPoint]) -> String {
-    let mut s =
-        format!("### {name}\n\n| load | U (LSD-to-MSD) | U (AssignPaths) |\n|---|---|---|\n");
+    let mut s = format!(
+        "### {name}\n\n| load | U (LSD-to-MSD) | U (AssignPaths) | lower bound | gap |\n\
+         |---|---|---|---|---|\n"
+    );
     for p in points {
         s.push_str(&format!(
-            "| {:.3} | {:.3} | {:.3} |\n",
-            p.load, p.lsd_peak, p.final_peak
+            "| {:.3} | {:.3} | {:.3} | {:.3} | {:.1}% |\n",
+            p.load,
+            p.lsd_peak,
+            p.final_peak,
+            p.lower_bound,
+            100.0 * p.gap()
         ));
     }
     s
@@ -415,11 +441,15 @@ pub fn performance_csv(points: &[PerformancePoint]) -> String {
 
 /// Renders a utilization series as CSV.
 pub fn utilization_csv(points: &[UtilizationPoint]) -> String {
-    let mut s = String::from("load,u_lsd,u_assignpaths\n");
+    let mut s = String::from("load,u_lsd,u_assignpaths,lower_bound,gap\n");
     for p in points {
         s.push_str(&format!(
-            "{:.4},{:.4},{:.4}\n",
-            p.load, p.lsd_peak, p.final_peak
+            "{:.4},{:.4},{:.4},{:.4},{:.4}\n",
+            p.load,
+            p.lsd_peak,
+            p.final_peak,
+            p.lower_bound,
+            p.gap()
         ));
     }
     s
@@ -447,6 +477,15 @@ pub struct ScalePoint {
     pub verify_ms: f64,
     /// Compile outcome: peak utilization, or the error string.
     pub outcome: Result<f64, String>,
+    /// Lower bound on the peak utilization of any path assignment over the
+    /// pooled alternatives (0 when the compile failed).
+    pub lower_bound: f64,
+    /// `AssignPaths` climbs the compile ran (parts + stitch, per seed).
+    pub climbs: u64,
+    /// Climbs that ended at their lower bound.
+    pub certified_climbs: u64,
+    /// Restarts the climbs performed.
+    pub restarts: u64,
 }
 
 /// Number of 4-row bands the N×N scaling fabric is partitioned into (the
@@ -546,24 +585,29 @@ pub fn scale_point(
     };
     let config = &config;
     let period = timing.longest_task(&tfg) / load;
+    let rec = sr::obs::MetricsRecorder::new();
     let t0 = std::time::Instant::now();
-    let compiled = compile(
+    let compiled = compile_with_recorder(
         platform.topo.as_ref(),
         &tfg,
         &alloc,
         &timing,
         period,
         config,
+        &rec,
     );
     let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let (verify_ms, outcome) = match compiled {
+    let (verify_ms, outcome, lower_bound) = match compiled {
         Ok(s) => {
             let t1 = std::time::Instant::now();
             verify(&s, platform.topo.as_ref(), &tfg).expect("scale schedule verifies");
-            (t1.elapsed().as_secs_f64() * 1e3, Ok(s.peak_utilization()))
+            let verify_ms = t1.elapsed().as_secs_f64() * 1e3;
+            (verify_ms, Ok(s.peak_utilization()), s.peak_lower_bound())
         }
-        Err(e) => (0.0, Err(e.to_string())),
+        Err(e) => (0.0, Err(e.to_string()), 0.0),
     };
+    let counters = rec.counters();
+    let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
     ScalePoint {
         platform: platform.name.clone(),
         nodes: platform.topo.num_nodes(),
@@ -577,23 +621,41 @@ pub fn scale_point(
         compile_ms,
         verify_ms,
         outcome,
+        lower_bound,
+        climbs: counter("assign_paths.climbs"),
+        certified_climbs: counter("assign_paths.certified_climbs"),
+        restarts: counter("assign_paths.restarts"),
     }
 }
 
 /// Renders the scale sweep as a Markdown table.
 pub fn scale_markdown(points: &[ScalePoint]) -> String {
     let mut out = String::from(
-        "| platform | nodes | messages | engine | parts | compile (ms) | verify (ms) | U |\n\
-         |---|---|---|---|---|---|---|---|\n",
+        "| platform | nodes | messages | engine | parts | compile (ms) | verify (ms) | U \
+         | lower bound | gap | climbs | certified | restarts |\n\
+         |---|---|---|---|---|---|---|---|---|---|---|---|---|\n",
     );
     for p in points {
         let u = match &p.outcome {
-            Ok(u) => format!("{u:.3}"),
-            Err(e) => e.clone(),
+            Ok(u) => format!(
+                "{u:.3} | {:.3} | {:.1}%",
+                p.lower_bound,
+                100.0 * optimality_gap(*u, p.lower_bound)
+            ),
+            Err(e) => format!("{e} | – | –"),
         };
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {:.1} | {:.1} | {u} |\n",
-            p.platform, p.nodes, p.messages, p.engine, p.partition, p.compile_ms, p.verify_ms
+            "| {} | {} | {} | {} | {} | {:.1} | {:.1} | {u} | {} | {} | {} |\n",
+            p.platform,
+            p.nodes,
+            p.messages,
+            p.engine,
+            p.partition,
+            p.compile_ms,
+            p.verify_ms,
+            p.climbs,
+            p.certified_climbs,
+            p.restarts
         ));
     }
     out
@@ -605,12 +667,17 @@ pub fn scale_json(points: &[ScalePoint]) -> String {
     let mut out = String::from("{\n\"workload\": \"tiled_dvb\",\n\"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         let tail = match &p.outcome {
-            Ok(u) => format!("\"ok\": true, \"peak_utilization\": {u}"),
+            Ok(u) => format!(
+                "\"ok\": true, \"peak_utilization\": {u}, \"lower_bound\": {}, \"gap\": {}",
+                p.lower_bound,
+                optimality_gap(*u, p.lower_bound)
+            ),
             Err(e) => format!("\"ok\": false, \"error\": \"{}\"", escape_json(e)),
         };
         out.push_str(&format!(
             "{}{{\"platform\": \"{}\", \"nodes\": {}, \"tasks\": {}, \"messages\": {}, \
-             \"engine\": \"{}\", \"partition\": {}, \"compile_ms\": {}, \"verify_ms\": {}, {tail}}}",
+             \"engine\": \"{}\", \"partition\": {}, \"compile_ms\": {}, \"verify_ms\": {}, \
+             \"climbs\": {}, \"certified_climbs\": {}, \"restarts\": {}, {tail}}}",
             if i == 0 { "" } else { ",\n" },
             escape_json(&p.platform),
             p.nodes,
@@ -620,6 +687,9 @@ pub fn scale_json(points: &[ScalePoint]) -> String {
             p.partition,
             p.compile_ms,
             p.verify_ms,
+            p.climbs,
+            p.certified_climbs,
+            p.restarts,
         ));
     }
     out.push_str("\n]\n}\n");
@@ -654,6 +724,10 @@ mod tests {
             compile_ms: 9.5,
             verify_ms: 0.0,
             outcome: Err(error.to_string()),
+            lower_bound: 0.0,
+            climbs: 5,
+            certified_climbs: 5,
+            restarts: 0,
         };
         let doc = sr::obs::json::parse(scale_json(&[row]).as_bytes()).expect("artifact parses");
         let point = &doc.get("points").and_then(|p| p.as_arr()).expect("points")[0];
@@ -685,7 +759,7 @@ mod tests {
         assert_eq!(simplex.nodes, 256);
         assert_eq!(simplex.tasks, 8 * 14);
         let u_simplex = simplex.outcome.expect("simplex compiles the 16x16 farm");
-        let u_flow = flow.outcome.expect("flow compiles the 16x16 farm");
+        let u_flow = flow.outcome.clone().expect("flow compiles the 16x16 farm");
         assert_eq!(
             u_simplex.to_bits(),
             u_flow.to_bits(),
@@ -699,11 +773,22 @@ mod tests {
         assert_eq!(part.partition, scale_bands(16));
         let u_part = part
             .outcome
+            .clone()
             .expect("partitioned flow compiles the 16x16 farm");
         assert!(
             u_part <= 1.0,
             "partitioned farm must stay feasible: U={u_part}"
         );
+        // Four bands and the stitch, every one certified before it starts:
+        // no *part-local* move can beat the baseline. The reported bound is
+        // the flat problem's, which the combinatorial floors leave loose.
+        assert_eq!(
+            (part.climbs, part.certified_climbs, part.restarts),
+            (5, 5, 0)
+        );
+        assert!(part.lower_bound > 0.0 && part.lower_bound <= u_part);
+        assert_eq!(part.lower_bound, flow.lower_bound);
+        assert!(scale_markdown(&[part]).contains("% | 5 | 5 | 0 |"));
     }
 
     #[test]
@@ -712,9 +797,11 @@ mod tests {
             load: 0.5,
             lsd_peak: 1.2,
             final_peak: 0.9,
+            lower_bound: 0.75,
         }];
         let md = utilization_markdown("test", &pts);
         assert!(md.contains("0.500") && md.contains("1.200") && md.contains("0.900"));
+        assert!(md.contains("| 0.750 | 20.0% |"), "{md}");
         let csv = utilization_csv(&pts);
         assert_eq!(csv.lines().count(), 2);
     }

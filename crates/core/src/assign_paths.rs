@@ -9,13 +9,16 @@ use sr_tfg::{MessageId, TaskFlowGraph, TimeBounds};
 use sr_topology::{NodeId, Path, Topology};
 
 use crate::assignment::{compact_link, Route};
-use crate::utilization::UtilEval;
+use crate::peak_bound::{certificate, lower_bound, PeakBound, PeakCertificate};
+use crate::utilization::{LinkDetail, MsgInputs, UtilEval};
 use crate::{ActivityMatrix, Hotspot, Intervals, PathAssignment, UtilizationMap, EPS};
 
 /// The shortest paths of one `(source, destination)` pair together with
 /// their link rows, derived once: row `j` is `paths[j].links(topo)` as `u32`
 /// ids. All shortest paths of a pair have the same hop count, so the rows
-/// sit back to back in one arena.
+/// sit back to back in one arena, followed — for a pair with several
+/// routes — by the links every one of them crosses, which a climb's lower
+/// bound asks for once per message.
 pub(crate) struct Routes {
     paths: Vec<Path>,
     rows: Vec<u32>,
@@ -30,6 +33,18 @@ impl Routes {
             assert_eq!(path.hops(), hops, "shortest paths differ in length");
             rows.extend(path.links(topo).into_iter().map(compact_link));
         }
+        if paths.len() > 1 {
+            // Most pairs with a choice of routes share no link at all, and
+            // the second row usually says so.
+            let all_rows = rows.len();
+            for i in 0..hops {
+                let l = rows[i];
+                let mut others = rows[hops..all_rows].chunks_exact(hops);
+                if others.all(|row| row.contains(&l)) {
+                    rows.push(l);
+                }
+            }
+        }
         Routes { paths, rows, hops }
     }
 
@@ -43,19 +58,37 @@ impl Routes {
             links: &self.rows[j * self.hops..(j + 1) * self.hops],
         }
     }
+
+    /// Every route's links, row after row.
+    fn all_links(&self) -> &[u32] {
+        &self.rows[..self.paths.len() * self.hops]
+    }
+
+    /// The links on every route (for a single route, its row).
+    fn shared(&self) -> &[u32] {
+        match self.paths.len() {
+            0 | 1 => &self.rows,
+            n => &self.rows[n * self.hops..],
+        }
+    }
 }
 
 /// The routes one message may move between during a climb: a pair's
 /// [`Routes`], or the subset of them an index list picks.
 #[derive(Clone, Copy)]
-struct Alternatives<'a> {
+pub(crate) struct Alternatives<'a> {
     routes: &'a Routes,
     only: Option<&'a [u32]>,
 }
 
 impl<'a> Alternatives<'a> {
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.only.map_or(self.routes.len(), <[u32]>::len)
+    }
+
+    /// Hop count of every route.
+    pub(crate) fn hops(&self) -> usize {
+        self.routes.hops
     }
 
     fn get(&self, j: usize) -> Route<'a> {
@@ -66,7 +99,33 @@ impl<'a> Alternatives<'a> {
     fn iter(self) -> impl Iterator<Item = Route<'a>> {
         (0..self.len()).map(move |j| self.get(j))
     }
+
+    /// Calls `f` with every link on at least one of these routes (a link
+    /// may come up more than once). Routes an index list leaves out do not
+    /// count: the message cannot take them.
+    pub(crate) fn each_link(&self, mut f: impl FnMut(u32)) {
+        match self.only {
+            None => self.routes.all_links().iter().for_each(|&l| f(l)),
+            Some(_) => self.iter().for_each(|r| r.links.iter().for_each(|&l| f(l))),
+        }
+    }
+
+    /// Replaces `out` with the links every one of these routes crosses.
+    pub(crate) fn shared_links(&self, out: &mut Vec<u32>) {
+        out.clear();
+        match self.only {
+            None => out.extend_from_slice(self.routes.shared()),
+            Some(_) => {
+                let mut rows = self.iter().map(|r| r.links);
+                out.extend_from_slice(rows.next().unwrap_or(&[]));
+                rows.for_each(|row| out.retain(|l| row.contains(l)));
+            }
+        }
+    }
 }
+
+/// A message a climb may move, with the routes it may move among.
+pub(crate) type Movable<'a> = (MessageId, Alternatives<'a>);
 
 /// Memoized shortest-path enumeration, keyed by `(source, destination)`.
 ///
@@ -167,16 +226,14 @@ impl<'a> PathPool<'a> {
         cell.get_or_init(|| Routes::derive(self.topo.shortest_paths(src, dst, self.cap), self.topo))
     }
 
-    /// One lookup per message of `tfg`, in message order: each message's
-    /// alternative routes between its allocated endpoints.
-    fn alternatives(&self, tfg: &TaskFlowGraph, alloc: &Allocation) -> Vec<Alternatives<'_>> {
-        tfg.messages()
-            .iter()
-            .map(|m| Alternatives {
-                routes: self.routes(alloc.node_of(m.src()), alloc.node_of(m.dst())),
-                only: None,
-            })
-            .collect()
+    /// One lookup per message of `tfg`, in message order: each message
+    /// with its alternative routes between its allocated endpoints.
+    fn alternatives(&self, tfg: &TaskFlowGraph, alloc: &Allocation) -> Vec<Movable<'_>> {
+        let alts = tfg.messages().iter().map(|m| Alternatives {
+            routes: self.routes(alloc.node_of(m.src()), alloc.node_of(m.dst())),
+            only: None,
+        });
+        alts.enumerate().map(|(i, a)| (MessageId(i), a)).collect()
     }
 
     /// Lookup counters `(hits, misses)` since construction. A "miss" is a
@@ -228,7 +285,18 @@ pub struct AssignPathsOutcome {
     /// group bound) of the LSD-to-MSD baseline, for comparison — the
     /// quantity Figs. 5–6 plot against the final value.
     pub baseline_peak: f64,
-    /// Restarts actually performed.
+    /// A lower bound on the effective peak of **every** assignment over the
+    /// call's alternatives — each message on any of its candidate routes,
+    /// the messages without candidates on the routes they have. For
+    /// [`assign_paths_partitioned`] this is the bound of the flat problem,
+    /// not of a part. `utilization.effective_peak() / lower_bound − 1` is
+    /// the most the heuristic can have left on the table.
+    pub lower_bound: f64,
+    /// Set when `lower_bound` exceeds 1: the link and the messages proving
+    /// that no path assignment over these alternatives fits.
+    pub overload: Option<PeakCertificate>,
+    /// Restarts actually performed, summed over the call's climbs. May be
+    /// 0: the start was certified optimal.
     pub restarts: usize,
     /// Reroute trials evaluated (one per alternative path tried on a
     /// message crossing the peak) — with `link_recomputes`, the
@@ -237,6 +305,13 @@ pub struct AssignPathsOutcome {
     /// Per-link utilization recomputations performed by the climbs'
     /// incremental evaluators, their initial builds included.
     pub link_recomputes: u64,
+    /// Hill climbs the call ran: one, or one per part plus the stitch.
+    pub climbs: usize,
+    /// Climbs that ended because their best peak met their lower bound —
+    /// nothing they could still reach was better.
+    pub certified_climbs: usize,
+    /// Restarts those climbs had left in their budget.
+    pub skipped_restarts: usize,
 }
 
 /// The `AssignPaths` heuristic (paper Fig. 4): minimize the peak link/spot
@@ -279,43 +354,13 @@ pub fn assign_paths_pooled(
     config: &AssignPathsConfig,
     pool: &PathPool<'_>,
 ) -> AssignPathsOutcome {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let num_links = topo.num_links();
-    let compute =
-        |pa: &PathAssignment| UtilizationMap::compute(pa, bounds, activity, intervals, num_links);
+    let inputs = MsgInputs::new(tfg.num_messages(), bounds, activity, intervals);
+    let ctx = ClimbCtx::new(&inputs, intervals, topo, config);
 
     // Alternative shortest paths per message (index 0 = dimension order).
-    let candidates: Vec<_> = pool
-        .alternatives(tfg, alloc)
-        .into_iter()
-        .map(Some)
-        .collect();
-
+    let movable = pool.alternatives(tfg, alloc);
     let baseline = PathAssignment::lsd_to_msd(tfg, topo, alloc);
-    let baseline_effective = compute(&baseline).effective_peak();
-
-    let climb = hill_climb(
-        &baseline,
-        baseline_effective,
-        &candidates,
-        num_links,
-        bounds,
-        intervals,
-        activity,
-        config,
-        &mut rng,
-    );
-
-    let best = climb.best.unwrap_or(baseline);
-    let utilization = compute(&best);
-    AssignPathsOutcome {
-        assignment: best,
-        utilization,
-        baseline_peak: baseline_effective,
-        restarts: climb.restarts,
-        trials: climb.trials,
-        link_recomputes: climb.link_recomputes,
-    }
+    single_climb(baseline, &movable, &ctx)
 }
 
 /// Re-runs the Fig. 4 heuristic for `affected` messages only, holding every
@@ -348,10 +393,8 @@ pub fn assign_paths_partial(
     affected: &[MessageId],
     config: &AssignPathsConfig,
 ) -> AssignPathsOutcome {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let num_links = topo.num_links();
-    let compute =
-        |pa: &PathAssignment| UtilizationMap::compute(pa, bounds, activity, intervals, num_links);
+    let inputs = MsgInputs::new(base.len(), bounds, activity, intervals);
+    let ctx = ClimbCtx::new(&inputs, intervals, topo, config);
 
     let path_cap = config.path_cap.max(1);
     let rerouted: Vec<Routes> = affected
@@ -368,36 +411,30 @@ pub fn assign_paths_partial(
             Routes::derive(alts, topo)
         })
         .collect();
-    let mut candidates = vec![None; base.len()];
     let mut start = base.clone();
+    let mut movable: Vec<Movable<'_>> = Vec::with_capacity(affected.len());
     for (&m, routes) in affected.iter().zip(&rerouted) {
-        candidates[m.index()] = Some(Alternatives { routes, only: None });
+        movable.push((m, Alternatives { routes, only: None }));
         start.set_path(m, routes.paths[0].clone(), topo);
     }
-    let start_peak = compute(&start).effective_peak();
+    single_climb(start, &movable, &ctx)
+}
 
-    let climb = hill_climb(
-        &start,
-        start_peak,
-        &candidates,
-        num_links,
-        bounds,
-        intervals,
-        activity,
-        config,
-        &mut rng,
-    );
-
-    let best = climb.best.unwrap_or(start);
-    let utilization = compute(&best);
-    AssignPathsOutcome {
-        assignment: best,
-        utilization,
-        baseline_peak: start_peak,
-        restarts: climb.restarts,
-        trials: climb.trials,
-        link_recomputes: climb.link_recomputes,
-    }
+/// The whole of a flat or a partial call: one climb from `start`, seeded
+/// with the call's seed, and its outcome.
+fn single_climb(
+    start: PathAssignment,
+    movable: &[Movable<'_>],
+    ctx: &ClimbCtx<'_>,
+) -> AssignPathsOutcome {
+    let start = ctx.start(start);
+    let start_peak = start.util.effective_peak();
+    let climb = hill_climb(&start, movable, ctx, ctx.config.seed);
+    let bound = climb.bound;
+    let overload = overload(&bound, &start, movable);
+    let mut tally = Tally::default();
+    let best = tally.absorb(climb, ctx);
+    tally.outcome(best, start, start_peak, bound.value, overload, ctx)
 }
 
 /// Maps each node to one of `parts` contiguous index bands, as equal in
@@ -524,13 +561,16 @@ pub fn assign_paths_partitioned(
         topo.num_nodes(),
         "partition does not cover the topology"
     );
-    let num_links = topo.num_links();
-    let compute =
-        |pa: &PathAssignment| UtilizationMap::compute(pa, bounds, activity, intervals, num_links);
+    let inputs = MsgInputs::new(tfg.num_messages(), bounds, activity, intervals);
+    let ctx = ClimbCtx::new(&inputs, intervals, topo, config);
 
     let candidates = pool.alternatives(tfg, alloc);
-    let baseline = PathAssignment::lsd_to_msd(tfg, topo, alloc);
-    let baseline_effective = compute(&baseline).effective_peak();
+    let baseline = ctx.start(PathAssignment::lsd_to_msd(tfg, topo, alloc));
+    let baseline_peak = baseline.util.effective_peak();
+    // The reported bound is the flat problem's: every message on any of
+    // its pooled routes, wherever the parts confine it.
+    let flat_bound = lower_bound(&baseline, &candidates, &inputs, intervals);
+    let overload = overload(&flat_bound, &baseline, &candidates);
 
     // A message is interior to part `p` when both endpoints live in `p`
     // AND it has at least two candidate paths confined to `p` (otherwise
@@ -546,7 +586,7 @@ pub fn assign_paths_partitioned(
         if s != d {
             continue;
         }
-        let inside = candidates[i].routes.paths.iter().enumerate();
+        let inside = candidates[i].1.routes.paths.iter().enumerate();
         let inside: Vec<u32> = inside
             .filter(|(_, path)| in_part(path, s))
             .map(|(j, _)| j as u32)
@@ -557,99 +597,120 @@ pub fn assign_paths_partitioned(
         }
     }
 
+    // Part-local problems: a part's interior messages keep their in-part
+    // candidates, everything else is frozen at baseline (the frozen load is
+    // exactly what the other parts see too). The stitch moves the rest.
     let num_parts = part_of.iter().copied().max().map_or(1, |m| m + 1);
+    let mut interiors: Vec<Vec<Movable<'_>>> = vec![Vec::new(); num_parts];
+    let mut boundary: Vec<Movable<'_>> = Vec::new();
+    for (&(m, alts), h) in candidates.iter().zip(&home) {
+        match *h {
+            Some(p) => interiors[p].push((
+                m,
+                Alternatives {
+                    routes: alts.routes,
+                    only: Some(&confined[m.index()]),
+                },
+            )),
+            None => boundary.push((m, alts)),
+        }
+    }
     let part_ids: Vec<usize> = (0..num_parts)
-        .filter(|&p| home.contains(&Some(p)))
+        .filter(|&p| !interiors[p].is_empty())
         .collect();
     let optimized = sr_par::par_map(&part_ids, threads, |&pid| {
-        // Part-local problem: this part's interior messages keep their
-        // in-part candidates, everything else is frozen at baseline (the
-        // frozen load is exactly what the other parts see too).
-        let cand: Vec<_> = (0..candidates.len())
-            .map(|i| {
-                (home[i] == Some(pid)).then(|| Alternatives {
-                    routes: candidates[i].routes,
-                    only: Some(&confined[i]),
-                })
-            })
-            .collect();
-        let mut rng = StdRng::seed_from_u64(
-            config
-                .seed
-                .wrapping_add((pid as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-        );
-        hill_climb(
-            &baseline,
-            baseline_effective,
-            &cand,
-            num_links,
-            bounds,
-            intervals,
-            activity,
-            config,
-            &mut rng,
-        )
+        let seed = config
+            .seed
+            .wrapping_add((pid as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        hill_climb(&baseline, &interiors[pid], &ctx, seed)
     });
 
     // Merge: each part contributes the paths of its own interior messages
     // (a part that found nothing better than the baseline contributes
     // none). Parts only reroute onto links they own, so no link ends up
     // above the load its owning part accepted.
-    let mut merged = baseline.clone();
-    let mut restarts = 0;
-    let mut trials = 0;
-    let mut link_recomputes = 0;
+    let mut tally = Tally::default();
+    let mut merged: Option<PathAssignment> = None;
     for (&pid, part) in part_ids.iter().zip(optimized) {
-        restarts += part.restarts;
-        trials += part.trials;
-        link_recomputes += part.link_recomputes;
-        let Some(part_best) = part.best else { continue };
-        for (i, h) in home.iter().enumerate() {
-            if *h == Some(pid) {
-                let m = MessageId(i);
-                merged.set_path(m, part_best.path(m).clone(), topo);
-            }
+        let Some(part_best) = tally.absorb(part, &ctx) else {
+            continue;
+        };
+        let merged = merged.get_or_insert_with(|| baseline.assignment.clone());
+        for &(m, _) in &interiors[pid] {
+            merged.set_path(m, part_best.path(m).clone(), topo);
         }
     }
     // Defensive: the merge argument above holds exactly; guard against EPS
-    // pathologies so the baseline guarantee is unconditional.
-    let merged_peak = compute(&merged).effective_peak();
-    let (stitch_start, stitch_peak) = if merged_peak <= baseline_effective + EPS {
-        (merged, merged_peak)
-    } else {
-        (baseline, baseline_effective)
-    };
+    // pathologies so the baseline guarantee is unconditional. When no part
+    // moved anything the merge *is* the baseline, figures included.
+    let stitch_start = merged
+        .map(|merged| ctx.start(merged))
+        .filter(|merged| merged.util.effective_peak() <= baseline_peak + EPS)
+        .unwrap_or(baseline);
 
     // Boundary stitch: only messages without a home part may move, now
     // with their full candidate sets; every interior message is frozen at
     // its merged path.
-    let cand: Vec<_> = candidates
-        .iter()
-        .zip(&home)
-        .map(|(&alts, h)| h.is_none().then_some(alts))
-        .collect();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let stitch = hill_climb(
-        &stitch_start,
-        stitch_peak,
-        &cand,
-        num_links,
-        bounds,
-        intervals,
-        activity,
-        config,
-        &mut rng,
-    );
+    let stitch = hill_climb(&stitch_start, &boundary, &ctx, config.seed);
+    let best = tally.absorb(stitch, &ctx);
+    tally.outcome(
+        best,
+        stitch_start,
+        baseline_peak,
+        flat_bound.value,
+        overload,
+        &ctx,
+    )
+}
 
-    let best = stitch.best.unwrap_or(stitch_start);
-    let utilization = compute(&best);
-    AssignPathsOutcome {
-        assignment: best,
-        utilization,
-        baseline_peak: baseline_effective,
-        restarts: restarts + stitch.restarts,
-        trials: trials + stitch.trials,
-        link_recomputes: link_recomputes + stitch.link_recomputes,
+/// A climb's starting point with the figures computed for it.
+pub(crate) struct Start {
+    pub(crate) assignment: PathAssignment,
+    pub(crate) util: UtilizationMap,
+    /// What only the lower bound reads; not part of any outcome.
+    pub(crate) links: LinkDetail,
+}
+
+/// What every climb of one `assign_paths_*` call shares.
+struct ClimbCtx<'a> {
+    /// Gathered once per call: every climb's evaluator, lower bound and
+    /// full recomputation reads the same arrays.
+    inputs: &'a MsgInputs,
+    intervals: &'a Intervals,
+    num_links: usize,
+    config: &'a AssignPathsConfig,
+}
+
+impl<'a> ClimbCtx<'a> {
+    fn new(
+        inputs: &'a MsgInputs,
+        intervals: &'a Intervals,
+        topo: &dyn Topology,
+        config: &'a AssignPathsConfig,
+    ) -> Self {
+        ClimbCtx {
+            inputs,
+            intervals,
+            num_links: topo.num_links(),
+            config,
+        }
+    }
+
+    fn compute(&self, assignment: &PathAssignment) -> (UtilizationMap, LinkDetail) {
+        UtilizationMap::compute_with(assignment, self.inputs, self.intervals, self.num_links)
+    }
+
+    fn start(&self, assignment: PathAssignment) -> Start {
+        let (util, links) = self.compute(&assignment);
+        Start {
+            assignment,
+            util,
+            links,
+        }
+    }
+
+    fn restart_budget(&self) -> usize {
+        self.config.max_restarts.max(1)
     }
 }
 
@@ -660,81 +721,164 @@ struct Climb {
     restarts: usize,
     trials: u64,
     link_recomputes: u64,
+    /// The climb's lower bound on everything it could reach.
+    bound: PeakBound,
+    /// The climb ended because its best peak met `bound`.
+    certified: bool,
+}
+
+/// The work of a call's climbs, summed.
+#[derive(Default)]
+struct Tally {
+    restarts: usize,
+    trials: u64,
+    link_recomputes: u64,
+    climbs: usize,
+    certified_climbs: usize,
+    skipped_restarts: usize,
+}
+
+impl Tally {
+    /// Counts one climb in; hands back what it found.
+    fn absorb(&mut self, climb: Climb, ctx: &ClimbCtx<'_>) -> Option<PathAssignment> {
+        self.restarts += climb.restarts;
+        self.trials += climb.trials;
+        self.link_recomputes += climb.link_recomputes;
+        self.climbs += 1;
+        if climb.certified {
+            self.certified_climbs += 1;
+            self.skipped_restarts += ctx.restart_budget() - climb.restarts;
+        }
+        climb.best
+    }
+
+    /// The call's outcome: `best` with freshly computed figures, or — when
+    /// the last climb found nothing — `start` with the figures it already
+    /// has.
+    fn outcome(
+        self,
+        best: Option<PathAssignment>,
+        start: Start,
+        baseline_peak: f64,
+        lower_bound: f64,
+        overload: Option<PeakCertificate>,
+        ctx: &ClimbCtx<'_>,
+    ) -> AssignPathsOutcome {
+        let (assignment, utilization) = match best {
+            Some(best) => {
+                let utilization = ctx.compute(&best).0;
+                (best, utilization)
+            }
+            None => (start.assignment, start.util),
+        };
+        AssignPathsOutcome {
+            assignment,
+            utilization,
+            baseline_peak,
+            lower_bound,
+            overload,
+            restarts: self.restarts,
+            trials: self.trials,
+            link_recomputes: self.link_recomputes,
+            climbs: self.climbs,
+            certified_climbs: self.certified_climbs,
+            skipped_restarts: self.skipped_restarts,
+        }
+    }
+}
+
+/// The witness of a bound above capacity, spelled out; `None` below it.
+fn overload(bound: &PeakBound, start: &Start, movable: &[Movable<'_>]) -> Option<PeakCertificate> {
+    (bound.value > 1.0 + EPS)
+        .then(|| certificate(bound, start, movable))
+        .flatten()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test oracle: climbs on this thread run with no lower bound at all,
+    /// so every one polishes its start and spends its whole restart budget.
+    static UNCERTIFIED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// The restart loop shared by [`assign_paths_pooled`],
 /// [`assign_paths_partial`] and [`assign_paths_partitioned`]: polish `start`
-/// with [`improve`], then explore random restarts over `candidates`,
-/// keeping the best peak seen. `candidates[i]` is `None` for a message
-/// frozen at its `start` path.
+/// with [`improve`], then explore random restarts, keeping the best peak
+/// seen. `movable` lists the messages that may
+/// move and their routes; every other message is frozen at its `start`
+/// path.
 ///
-/// One [`UtilEval`] serves the whole climb and is its working assignment:
-/// `improve` runs its trials against it, the converged peak is read from
-/// it, a restart moves it to the freshly drawn assignment (a draw equal to
-/// the route a message already has changes nothing), and an owned
+/// The climb minimises the effective peak, and `best` only moves on a
+/// strict improvement (`peak < best_peak − EPS`). So once the best peak is
+/// within `EPS` of a [`lower_bound`] on everything reachable, nothing the
+/// climb could still do changes what it returns, and it stops — before the
+/// first `improve` if the start already is that good, in which case it
+/// builds no evaluator, derives no link rows and draws nothing.
+///
+/// Otherwise one [`UtilEval`] serves the whole climb and is its working
+/// assignment: `improve` runs its trials against it, the converged peak is
+/// read from it, a restart moves it to the freshly drawn assignment (a draw
+/// equal to the route a message already has changes nothing), and an owned
 /// [`PathAssignment`] is built from it only when the climb records a new
 /// best.
-#[allow(clippy::too_many_arguments)]
-fn hill_climb(
-    start: &PathAssignment,
-    start_peak: f64,
-    candidates: &[Option<Alternatives<'_>>],
-    num_links: usize,
-    bounds: &TimeBounds,
-    intervals: &Intervals,
-    activity: &ActivityMatrix,
-    config: &AssignPathsConfig,
-    rng: &mut StdRng,
-) -> Climb {
-    // A peak below this is impossible: each message needs at least
-    // duration/active-time of whichever links it ends up on.
-    let lower_bound = (0..candidates.len())
-        .filter(|&i| match candidates[i] {
-            Some(alts) => alts.len() > 0 && alts.routes.hops > 0,
-            None => start.path(MessageId(i)).hops() > 0,
-        })
-        .map(|i| {
-            let m = MessageId(i);
-            let at = activity.active_time(m, intervals);
-            if at > 0.0 {
-                bounds.window(m).duration() / at
-            } else {
-                f64::INFINITY
-            }
-        })
-        .fold(0.0f64, f64::max);
+fn hill_climb(start: &Start, movable: &[Movable<'_>], ctx: &ClimbCtx<'_>, seed: u64) -> Climb {
+    let bound = lower_bound(start, movable, ctx.inputs, ctx.intervals);
+    let floor = bound.value;
+    #[cfg(test)]
+    let floor = if UNCERTIFIED.get() {
+        f64::NEG_INFINITY
+    } else {
+        floor
+    };
 
     // Start from the deterministic start point (so we can never end up
     // worse), then explore random restarts.
-    let mut best = None;
-    let mut best_peak = start_peak;
-    let mut restarts = 0;
-    let mut trials = 0;
+    let mut climb = Climb {
+        best: None,
+        restarts: 0,
+        trials: 0,
+        link_recomputes: 0,
+        bound,
+        certified: true,
+    };
+    let mut best_peak = start.util.effective_peak();
+    if best_peak <= floor + EPS {
+        return climb;
+    }
 
+    let start = &start.assignment;
+    let mut candidates = vec![None; start.len()];
+    for &(m, alts) in movable {
+        candidates[m.index()] = Some(alts);
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
     let start_rows = start.link_rows();
     let mut eval = UtilEval::new(
         start.routes(&start_rows),
-        bounds,
-        activity,
-        intervals,
-        num_links,
+        ctx.inputs,
+        ctx.intervals,
+        ctx.num_links,
     );
     loop {
-        trials += improve(&mut eval, candidates, config.max_inner);
+        climb.trials += improve(&mut eval, &candidates, ctx.config.max_inner);
         let peak = eval.effective_peak();
         debug_assert_eq!(
             peak.to_bits(),
-            UtilizationMap::compute(&eval.assignment(), bounds, activity, intervals, num_links)
-                .effective_peak()
-                .to_bits(),
+            ctx.compute(&eval.assignment()).0.effective_peak().to_bits(),
             "incremental evaluator drifted from a full recomputation"
         );
+        debug_assert!(
+            bound.value <= peak + EPS,
+            "lower bound {} above a reachable peak {peak}",
+            bound.value
+        );
         if peak < best_peak - EPS {
-            best = Some(eval.assignment());
+            climb.best = Some(eval.assignment());
             best_peak = peak;
         }
-        restarts += 1;
-        if restarts >= config.max_restarts.max(1) || best_peak <= lower_bound + EPS {
+        climb.restarts += 1;
+        climb.certified = best_peak <= floor + EPS;
+        if climb.restarts >= ctx.restart_budget() || climb.certified {
             break;
         }
         // One draw per message, in message order, whether or not it can
@@ -747,13 +891,8 @@ fn hill_climb(
             Some((MessageId(i), alts.get(rng.gen_range(0..alts.len()))))
         }));
     }
-
-    Climb {
-        best,
-        restarts,
-        trials,
-        link_recomputes: eval.link_recomputes(),
-    }
+    climb.link_recomputes = eval.link_recomputes();
+    climb
 }
 
 /// The inner do-while of Fig. 4: repeatedly attack the peak with the best
@@ -1016,7 +1155,8 @@ mod tests {
 
     /// A pooled link row is its path's `Path::links`, hop for hop, on every
     /// topology family and on a masked fabric — the climb never derives a
-    /// row again, so this is where the two are tied together.
+    /// row again, so this is where the two are tied together. The cached
+    /// shared links are the rows' intersection.
     #[test]
     fn pooled_link_rows_equal_path_links_on_every_topology() {
         let torus = sr_topology::Torus::new(&[4, 5]).unwrap();
@@ -1033,6 +1173,15 @@ mod tests {
                     let routes = pool.routes(src, dst);
                     assert_eq!(routes.paths, topo.shortest_paths(src, dst, 16));
                     assert_eq!(pool.paths(src, dst), &routes.paths[..]);
+                    let on_all =
+                        |l: &u32| (0..routes.len()).all(|j| routes.get(j).links.contains(l));
+                    let mut shared: Vec<u32> =
+                        routes.all_links().iter().copied().filter(on_all).collect();
+                    shared.sort_unstable();
+                    shared.dedup();
+                    let mut cached = routes.shared().to_vec();
+                    cached.sort_unstable();
+                    assert_eq!(cached, shared, "{} {src}→{dst}", topo.name());
                     for j in 0..routes.len() {
                         let route = routes.get(j);
                         assert!(std::ptr::eq(route.path, &routes.paths[j]));
@@ -1262,5 +1411,552 @@ mod tests {
         );
         assert_eq!(out.assignment.path(MessageId(0)).hops(), 1);
         assert!((out.utilization.peak() - out.baseline_peak).abs() < 1e-9);
+    }
+
+    // ---- the lower bound and the climbs it certifies -------------------
+
+    /// A workload on any topology, with everything a climb needs.
+    struct Fixture {
+        topo: Box<dyn Topology>,
+        tfg: TaskFlowGraph,
+        alloc: Allocation,
+        bounds: TimeBounds,
+        intervals: Intervals,
+        activity: ActivityMatrix,
+    }
+
+    impl Fixture {
+        fn new(
+            topo: Box<dyn Topology>,
+            tfg: TaskFlowGraph,
+            alloc: Allocation,
+            bounds: TimeBounds,
+        ) -> Self {
+            let intervals = Intervals::from_bounds(&bounds);
+            let activity = ActivityMatrix::new(&bounds, &intervals);
+            Fixture {
+                topo,
+                tfg,
+                alloc,
+                bounds,
+                intervals,
+                activity,
+            }
+        }
+
+        /// One message per `(source node, destination node, release µs,
+        /// duration µs)`, in that order, every one open for `window` µs
+        /// from its release in a frame of `period` µs. Each message gets a
+        /// source task of its own that runs from 0 to `release`.
+        fn windows(
+            topo: Box<dyn Topology>,
+            msgs: &[(usize, usize, u64, u64)],
+            window: f64,
+            period: f64,
+        ) -> Self {
+            let mut b = TfgBuilder::new();
+            let mut placement = Vec::new();
+            for (i, &(src, dst, release, duration)) in msgs.iter().enumerate() {
+                let s = b.task(format!("s{i}"), release);
+                let d = b.task(format!("d{i}"), 1);
+                b.message(format!("m{i}"), s, d, duration).unwrap();
+                placement.extend([NodeId(src), NodeId(dst)]);
+            }
+            let tfg = b.build().unwrap();
+            let timing = Timing::new(1.0, 1.0);
+            let alloc = Allocation::new(placement, &tfg, topo.as_ref()).unwrap();
+            let bounds =
+                assign_time_bounds(&tfg, &timing, period, WindowPolicy::Fixed(window)).unwrap();
+            Self::new(topo, tfg, alloc, bounds)
+        }
+
+        /// A random layered TFG, randomly placed, at a random load.
+        fn random(topo: Box<dyn Topology>, seed: u64) -> Self {
+            use sr_tfg::generators::{layered_random, LayeredParams};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let params = LayeredParams {
+                layers: rng.gen_range(2..5),
+                width: rng.gen_range(2..5),
+                edge_probability: 0.6,
+                ops: (500, 2000),
+                bytes: (64, 4096),
+            };
+            let tfg = layered_random(rng.gen_range(0..u64::MAX), &params);
+            let timing = Timing::new(64.0, 20.0);
+            let alloc = sr_mapping::random(&tfg, topo.as_ref(), rng.gen_range(0..u64::MAX));
+            let longest = timing.longest_task(&tfg).max(timing.longest_message(&tfg));
+            let period = longest * rng.gen_range(1.0..2.0);
+            let policy = [WindowPolicy::LongestTask, WindowPolicy::Tight][rng.gen_range(0..2usize)];
+            let bounds = assign_time_bounds(&tfg, &timing, period, policy).unwrap();
+            Self::new(topo, tfg, alloc, bounds)
+        }
+
+        fn topo(&self) -> &dyn Topology {
+            self.topo.as_ref()
+        }
+
+        fn inputs(&self) -> MsgInputs {
+            MsgInputs::new(
+                self.tfg.num_messages(),
+                &self.bounds,
+                &self.activity,
+                &self.intervals,
+            )
+        }
+
+        fn link(&self, a: usize, b: usize) -> LinkId {
+            self.topo.link_between(NodeId(a), NodeId(b)).unwrap()
+        }
+
+        fn flat(&self, cfg: &AssignPathsConfig) -> AssignPathsOutcome {
+            assign_paths(
+                &self.tfg,
+                self.topo(),
+                &self.alloc,
+                &self.bounds,
+                &self.intervals,
+                &self.activity,
+                cfg,
+            )
+        }
+
+        fn partitioned(&self, cfg: &AssignPathsConfig, parts: usize) -> AssignPathsOutcome {
+            let pool = PathPool::new(self.topo(), cfg.path_cap);
+            assign_paths_partitioned(
+                &self.tfg,
+                self.topo(),
+                &self.alloc,
+                &self.bounds,
+                &self.intervals,
+                &self.activity,
+                cfg,
+                &pool,
+                &band_partition_topo(self.topo(), parts),
+                1,
+            )
+        }
+
+        fn partial(&self, cfg: &AssignPathsConfig, affected: &[MessageId]) -> AssignPathsOutcome {
+            let base = PathAssignment::lsd_to_msd(&self.tfg, self.topo(), &self.alloc);
+            assign_paths_partial(
+                self.topo(),
+                &self.bounds,
+                &self.intervals,
+                &self.activity,
+                &base,
+                affected,
+                cfg,
+            )
+        }
+
+        fn peak_of(&self, pa: &PathAssignment) -> f64 {
+            let num_links = self.topo.num_links();
+            UtilizationMap::compute(pa, &self.bounds, &self.activity, &self.intervals, num_links)
+                .effective_peak()
+        }
+
+        /// The smallest effective peak over **every** assignment that keeps
+        /// each message of `movable` on its `start` route or one of its
+        /// alternatives, by enumeration.
+        fn reachable_optimum(&self, start: &PathAssignment, movable: &[Movable<'_>]) -> f64 {
+            let mut best = f64::INFINITY;
+            let mut choice = vec![0usize; movable.len()];
+            loop {
+                let mut pa = start.clone();
+                for (&(m, alts), &c) in movable.iter().zip(&choice) {
+                    if c > 0 {
+                        pa.set_path(m, alts.get(c - 1).path.clone(), self.topo());
+                    }
+                }
+                best = best.min(self.peak_of(&pa));
+                let Some(pos) = (0..movable.len()).find(|&p| choice[p] < movable[p].1.len()) else {
+                    return best;
+                };
+                choice[pos] += 1;
+                choice[..pos].fill(0);
+            }
+        }
+
+        /// The flat problem's optimum over the routes `cap` enumerates.
+        fn flat_optimum(&self, cap: usize) -> f64 {
+            let pool = PathPool::new(self.topo(), cap);
+            let start = PathAssignment::lsd_to_msd(&self.tfg, self.topo(), &self.alloc);
+            self.reachable_optimum(&start, &pool.alternatives(&self.tfg, &self.alloc))
+        }
+    }
+
+    fn cube(dim: usize) -> Box<dyn Topology> {
+        Box::new(GeneralizedHypercube::binary(dim).unwrap())
+    }
+
+    /// Runs `f` with every climb on this thread ignoring its lower bound.
+    fn uncertified<T>(f: impl FnOnce() -> T) -> T {
+        UNCERTIFIED.set(true);
+        let out = f();
+        UNCERTIFIED.set(false);
+        out
+    }
+
+    /// Four 12 µs messages whose 20 µs windows open 10 µs apart, all from
+    /// node `a` to its neighbor `b`: the link between them reads
+    /// `U^l = 48/50 = 0.96`, while no signature or pair of signatures holds
+    /// more than `36/40 = 0.9` — the Hall bound is the smaller figure.
+    fn staggered_four(a: usize, b: usize) -> [(usize, usize, u64, u64); 4] {
+        [10, 20, 30, 40].map(|release| (a, b, release, 12))
+    }
+
+    /// **The trap.** `U^l` of the messages forced onto a link is not a
+    /// floor: a short message with a window elsewhere in the frame *lowers*
+    /// it. Here the forced four read 0.96 on their own, the optimum puts the
+    /// fifth message on the same link and reads 0.9 — and so does the bound,
+    /// which rests on the forced group's Hall figure.
+    #[test]
+    fn forced_link_utilization_is_not_a_floor_dilution() {
+        let mut msgs = staggered_four(0, 1).to_vec();
+        msgs.push((0, 3, 70, 1));
+        let f = Fixture::windows(cube(2), &msgs, 20.0, 100.0);
+        let crowded = f.link(0, 1);
+
+        let mut apart = PathAssignment::lsd_to_msd(&f.tfg, f.topo(), &f.alloc);
+        assert!(apart.uses(MessageId(4), crowded), "baseline goes 0-1-3");
+        let together = f.peak_of(&apart);
+        let detour = Path::new(vec![NodeId(0), NodeId(2), NodeId(3)]);
+        apart.set_path(MessageId(4), detour, f.topo());
+        let forced_alone = UtilizationMap::compute(
+            &apart,
+            &f.bounds,
+            &f.activity,
+            &f.intervals,
+            f.topo.num_links(),
+        );
+        assert!((forced_alone.link(crowded) - 0.96).abs() < 1e-12);
+        assert!((forced_alone.hall_peak() - 0.9).abs() < 1e-12);
+        assert!((together - 0.9).abs() < 1e-12, "diluted: {together}");
+
+        let optimum = f.flat_optimum(64);
+        assert_eq!(optimum, together);
+        let out = f.flat(&AssignPathsConfig::default());
+        assert!(
+            out.lower_bound <= optimum,
+            "bound {} above the optimum {optimum}",
+            out.lower_bound
+        );
+        assert_eq!(out.lower_bound, optimum, "the forced group's Hall figure");
+        assert!(forced_alone.link(crowded) > optimum);
+        assert_eq!((out.restarts, out.certified_climbs), (0, 1));
+    }
+
+    /// A message's start route need not be one of its alternatives (a part
+    /// confines them; the baseline may leave the part). The links of that
+    /// route are still links the message can *leave*, so they are reachable
+    /// — counting one as fixed would put its start figure under every
+    /// assignment, including the ones that relieve it.
+    #[test]
+    fn start_route_outside_the_alternatives_is_reachable() {
+        // m0 (0→1) is frozen on link 0-1; m1 (0→3) starts on 0-1-3 and may
+        // move to 0-2-3 only.
+        let f = Fixture::windows(cube(2), &[(0, 1, 10, 8), (0, 3, 10, 6)], 20.0, 40.0);
+        let start = PathAssignment::lsd_to_msd(&f.tfg, f.topo(), &f.alloc);
+        assert!(start.uses(MessageId(1), f.link(0, 1)));
+        let routes = Routes::derive(f.topo.shortest_paths(NodeId(0), NodeId(3), 8), f.topo());
+        let detour: Vec<u32> = (0..routes.len() as u32)
+            .filter(|&j| routes.paths[j as usize] != *start.path(MessageId(1)))
+            .collect();
+        assert_eq!(detour.len(), 1);
+        let alts = Alternatives {
+            routes: &routes,
+            only: Some(&detour),
+        };
+        let movable = [(MessageId(1), alts)];
+
+        let inputs = f.inputs();
+        let cfg = AssignPathsConfig::default();
+        let ctx = ClimbCtx::new(&inputs, &f.intervals, f.topo(), &cfg);
+        let start = ctx.start(start);
+        assert!((start.util.effective_peak() - 0.7).abs() < 1e-12);
+        let bound = lower_bound(&start, &movable, &inputs, &f.intervals);
+        let optimum = f.reachable_optimum(&start.assignment, &movable);
+        assert!((optimum - 0.4).abs() < 1e-12, "m1 off the shared link");
+        assert!(bound.value <= optimum, "{} > {optimum}", bound.value);
+        assert_eq!(bound.value, optimum);
+
+        let climb = hill_climb(&start, &movable, &ctx, cfg.seed);
+        let best = climb.best.expect("the detour is better");
+        assert_eq!(f.peak_of(&best), optimum);
+    }
+
+    /// Only the routes a confined message may take count — both ways. A
+    /// link that only its *excluded* routes cross is fixed (its exact figure
+    /// is a floor, here the `U^l` the forced floors must not use), and a
+    /// link that all its *confined* routes cross holds it for good even
+    /// when some excluded route avoids it.
+    #[test]
+    fn confined_alternatives_reach_and_force_only_their_own_links() {
+        // m4 (0→7) has six routes in the 3-cube. The staggered four sit on
+        // link 3-7, m5 on link 5-7.
+        let mut msgs = staggered_four(3, 7).to_vec();
+        msgs.extend([(0, 7, 70, 4), (5, 7, 70, 10)]);
+        let f = Fixture::windows(cube(3), &msgs, 20.0, 100.0);
+        let routes = Routes::derive(f.topo.shortest_paths(NodeId(0), NodeId(7), 8), f.topo());
+        assert_eq!(routes.len(), 6);
+        let avoiding = |l: LinkId| -> Vec<u32> {
+            (0..6u32)
+                .filter(|&j| !routes.get(j as usize).links.contains(&compact_link(l)))
+                .collect()
+        };
+        let crossing = |l: LinkId| -> Vec<u32> {
+            (0..6u32)
+                .filter(|&j| routes.get(j as usize).links.contains(&compact_link(l)))
+                .collect()
+        };
+        let inputs = f.inputs();
+        let cfg = AssignPathsConfig::default();
+        let ctx = ClimbCtx::new(&inputs, &f.intervals, f.topo(), &cfg);
+        let check = |only: &[u32]| {
+            let mut start = PathAssignment::lsd_to_msd(&f.tfg, f.topo(), &f.alloc);
+            let first = routes.paths[only[0] as usize].clone();
+            start.set_path(MessageId(4), first, f.topo());
+            let alts = Alternatives {
+                routes: &routes,
+                only: Some(only),
+            };
+            let movable = [(MessageId(4), alts)];
+            let start = ctx.start(start);
+            let bound = lower_bound(&start, &movable, &inputs, &f.intervals);
+            let optimum = f.reachable_optimum(&start.assignment, &movable);
+            assert!(bound.value <= optimum, "{} > {optimum}", bound.value);
+            (bound.value, optimum, start.util.effective_peak())
+        };
+
+        // Kept off link 3-7: the four are out of reach, their 0.96 stands.
+        let off = avoiding(f.link(3, 7));
+        assert_eq!(off.len(), 4);
+        let (bound, optimum, start_peak) = check(&off);
+        assert!((start_peak - 0.96).abs() < 1e-12);
+        assert_eq!((bound, optimum), (start_peak, start_peak));
+
+        // Kept on link 5-7, away from the four: m4 and m5 share it in every
+        // assignment, 14/20 — but the fixed 0.96 still dominates, so look
+        // at the forced figure through a fixture without the four.
+        let f = Fixture::windows(cube(3), &msgs[4..], 20.0, 100.0);
+        let inputs = f.inputs();
+        let ctx = ClimbCtx::new(&inputs, &f.intervals, f.topo(), &cfg);
+        let on = crossing(f.link(5, 7));
+        assert_eq!(on.len(), 2);
+        let mut start = PathAssignment::lsd_to_msd(&f.tfg, f.topo(), &f.alloc);
+        start.set_path(MessageId(0), routes.paths[on[0] as usize].clone(), f.topo());
+        let alts = Alternatives {
+            routes: &routes,
+            only: Some(&on),
+        };
+        let movable = [(MessageId(0), alts)];
+        let start = ctx.start(start);
+        let bound = lower_bound(&start, &movable, &inputs, &f.intervals);
+        let optimum = f.reachable_optimum(&start.assignment, &movable);
+        assert!((optimum - 0.7).abs() < 1e-12);
+        assert_eq!(bound.value, optimum, "both forced onto link 5-7");
+    }
+
+    /// The stop rule is `peak ≤ bound + EPS`, the same tolerance `best`
+    /// moves by: a start half an `EPS` above its bound cannot be improved
+    /// on by anything the climb would record, so the climb never starts.
+    #[test]
+    fn a_start_within_eps_of_its_bound_is_certified() {
+        // Link 0-1 holds m0 for good at 0.6. m2 (2→1) starts on 2-3-1 with
+        // m1: 0.6000005 — and moving it next to m0 would read 0.9.
+        let w = 10_000_000;
+        let msgs = [
+            (0, 1, w, 6_000_000),
+            (3, 1, w, 3_000_000),
+            (2, 1, w, 3_000_005),
+        ];
+        let f = Fixture::windows(cube(2), &msgs, w as f64, 3.0 * w as f64);
+        let cfg = AssignPathsConfig::default();
+        let out = f.flat(&cfg);
+        let peak = out.utilization.effective_peak();
+        assert!((out.lower_bound - 0.6).abs() < 1e-12);
+        assert!(peak > out.lower_bound && peak <= out.lower_bound + EPS);
+        assert_eq!(f.flat_optimum(8), peak);
+        assert_eq!(
+            (out.restarts, out.certified_climbs, out.skipped_restarts),
+            (0, 1, cfg.max_restarts)
+        );
+        assert_eq!(uncertified(|| f.flat(&cfg)).assignment, out.assignment);
+    }
+
+    #[test]
+    fn bound_meets_the_optimum_on_the_funnel() {
+        let s = contended_setup();
+        let cfg = AssignPathsConfig::default();
+        let out = assign_paths(
+            &s.tfg,
+            &s.topo,
+            &s.alloc,
+            &s.bounds,
+            &s.intervals,
+            &s.activity,
+            &cfg,
+        );
+        // 20 µs in a 50 µs window wherever it goes; disjoint paths get there.
+        assert_eq!(out.lower_bound, 0.4);
+        assert_eq!(out.utilization.effective_peak(), 0.4);
+        assert!(out.overload.is_none());
+        // Not certified at the start (0.8), certified after the first
+        // `improve`: one restart, the rest of the budget skipped.
+        assert_eq!((out.restarts, out.climbs, out.certified_climbs), (1, 1, 1));
+        assert_eq!(out.skipped_restarts, cfg.max_restarts - 1);
+    }
+
+    /// A bound above 1 comes with its witness: the link and the messages
+    /// that cannot leave it.
+    #[test]
+    fn overloaded_forced_group_is_named() {
+        // Three 8 µs messages with the same 20 µs window, all 0→1.
+        let msgs = [(0, 1, 10, 8), (0, 1, 10, 8), (0, 1, 10, 8), (0, 3, 10, 2)];
+        let f = Fixture::windows(cube(2), &msgs, 20.0, 40.0);
+        let out = f.flat(&AssignPathsConfig::default());
+        assert!((out.lower_bound - 1.2).abs() < 1e-12);
+        let witness = out.overload.expect("bound above 1");
+        assert_eq!(witness.floor, crate::BoundFloor::ForcedGroup);
+        assert_eq!(witness.link, Some(f.link(0, 1)));
+        assert_eq!(witness.messages, [0, 1, 2].map(MessageId));
+        assert_eq!(witness.bound, out.lower_bound);
+    }
+
+    /// The identity the certificate rests on, checked against an oracle: the
+    /// same call with every climb's bound ignored (so each polishes its
+    /// start and spends its whole restart budget) returns the same
+    /// assignment — paths, not just peak.
+    fn assert_same_as_uncertified(
+        what: &str,
+        run: impl Fn() -> AssignPathsOutcome,
+    ) -> AssignPathsOutcome {
+        let certified = run();
+        let oracle = uncertified(&run);
+        assert_eq!(certified.assignment, oracle.assignment, "{what}");
+        assert_eq!(
+            certified.utilization.effective_peak().to_bits(),
+            oracle.utilization.effective_peak().to_bits(),
+            "{what}"
+        );
+        assert!(
+            certified.lower_bound <= certified.utilization.effective_peak() + 1e-12,
+            "{what}: bound {} above the peak",
+            certified.lower_bound
+        );
+        assert!(certified.restarts <= oracle.restarts, "{what}");
+        assert_eq!(oracle.certified_climbs, 0, "{what}");
+        certified
+    }
+
+    fn random_fixture(seed: u64) -> Fixture {
+        let topo: Box<dyn Topology> = match seed % 3 {
+            0 => cube(4),
+            1 => Box::new(sr_topology::Torus::new(&[4, 4]).unwrap()),
+            _ => Box::new(GeneralizedHypercube::new(&[4, 4]).unwrap()),
+        };
+        Fixture::random(topo, seed)
+    }
+
+    #[test]
+    fn certified_flat_climbs_return_what_uncertified_ones_do() {
+        let cfg = AssignPathsConfig::default();
+        let (mut at_start, mut later, mut never) = (0, 0, 0);
+        for seed in 0..200u64 {
+            let f = random_fixture(seed);
+            let out = assert_same_as_uncertified(&format!("seed {seed}"), || f.flat(&cfg));
+            match (out.certified_climbs, out.restarts) {
+                (1, 0) => at_start += 1,
+                (1, _) => later += 1,
+                _ => never += 1,
+            }
+        }
+        assert!(
+            at_start >= 10 && later >= 10 && never >= 10,
+            "{at_start} certified at the start, {later} later, {never} never"
+        );
+    }
+
+    #[test]
+    fn certified_partial_climbs_return_what_uncertified_ones_do() {
+        let cfg = AssignPathsConfig::default();
+        let (mut certified, mut not) = (0, 0);
+        for seed in 0..200u64 {
+            let f = random_fixture(seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let affected: Vec<MessageId> = (0..f.tfg.num_messages())
+                .filter(|_| rng.gen_range(0..3) == 0)
+                .map(MessageId)
+                .collect();
+            let out =
+                assert_same_as_uncertified(&format!("seed {seed}"), || f.partial(&cfg, &affected));
+            if out.certified_climbs == 1 {
+                certified += 1;
+            } else {
+                not += 1;
+            }
+        }
+        assert!(certified >= 10 && not >= 10, "{certified} / {not}");
+    }
+
+    #[test]
+    fn certified_partitioned_climbs_return_what_uncertified_ones_do() {
+        let cfg = AssignPathsConfig::default();
+        let (mut all, mut some, mut none) = (0, 0, 0);
+        for seed in 0..200u64 {
+            let f = random_fixture(seed);
+            let parts = 2 + (seed % 2) as usize * 2;
+            let out =
+                assert_same_as_uncertified(&format!("seed {seed}"), || f.partitioned(&cfg, parts));
+            match out.certified_climbs {
+                0 => none += 1,
+                c if c == out.climbs => all += 1,
+                _ => some += 1,
+            }
+        }
+        assert!(all >= 10 && some + none >= 10, "{all} / {some} / {none}");
+    }
+
+    /// The tiled farm at 16×16, four bands: the LSD-to-MSD baseline is
+    /// already at the bound of every part and of the stitch, so no climb
+    /// runs at all — and running them all anyway changes nothing.
+    #[test]
+    fn every_climb_of_the_tiled_farm_is_certified_at_its_start() {
+        let cfg = AssignPathsConfig::default();
+        for seed in [7, 13, 21] {
+            let (topo, tfg, alloc, bounds) = crate::testkit::tiled_farm_16x16(seed);
+            let f = Fixture::new(Box::new(topo), tfg, alloc, bounds);
+            let out =
+                assert_same_as_uncertified(&format!("farm {seed}"), || f.partitioned(&cfg, 4));
+            assert_eq!(out.climbs, 5, "four bands and the stitch");
+            assert_eq!(out.certified_climbs, out.climbs, "farm {seed}");
+            assert_eq!((out.restarts, out.trials, out.link_recomputes), (0, 0, 0));
+            assert_eq!(out.skipped_restarts, 5 * cfg.max_restarts);
+            assert_eq!(out.utilization.effective_peak(), out.baseline_peak);
+        }
+    }
+
+    /// A scattered placement on the 8×8 torus: the peak sits where the
+    /// movable messages can get at it and above anything they are forced
+    /// into. The flat climb is never certified and spends its whole budget;
+    /// of the partitioned climbs the stitch — which owns the peak — does.
+    #[test]
+    fn scattered_placement_leaves_the_peak_uncertified() {
+        let topo = sr_topology::Torus::new(&[8, 8]).unwrap();
+        let tfg = sr_tfg::dvb_uniform(10);
+        let alloc = sr_mapping::random_distinct(&tfg, &topo, 3).unwrap();
+        let timing = Timing::calibrated_dvb(128.0);
+        let period = timing.longest_task(&tfg) * 2.0;
+        let bounds = assign_time_bounds(&tfg, &timing, period, WindowPolicy::LongestTask).unwrap();
+        let f = Fixture::new(Box::new(topo), tfg, alloc, bounds);
+        let cfg = AssignPathsConfig::default();
+        let flat = assert_same_as_uncertified("scattered, flat", || f.flat(&cfg));
+        assert_eq!((flat.certified_climbs, flat.skipped_restarts), (0, 0));
+        assert_eq!(flat.restarts, cfg.max_restarts);
+        assert!(flat.lower_bound < flat.utilization.effective_peak());
+        let parted = assert_same_as_uncertified("scattered, 2 parts", || f.partitioned(&cfg, 2));
+        assert!(parted.certified_climbs < parted.climbs);
+        assert!(parted.restarts >= cfg.max_restarts);
+        assert_eq!(parted.lower_bound, flat.lower_bound, "the flat bound");
     }
 }

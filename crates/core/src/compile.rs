@@ -13,7 +13,7 @@ use crate::{
     allocate_intervals_warm, assign_paths_pooled, build_node_schedules, related_subsets,
     ActivityMatrix, AllocBasisCache, AllocationStats, AssignPathsConfig, CompileError,
     FlowAllocStats, FlowWorkspace, IntervalAllocation, IntervalSchedStats, IntervalSchedule,
-    Intervals, NodeSchedule, PathAssignment, PathPool, Segment, UtilizationMap,
+    Intervals, NodeSchedule, PathAssignment, PathPool, PeakCertificate, Segment, UtilizationMap,
 };
 
 /// Backend for the message–interval allocation stage.
@@ -149,6 +149,7 @@ pub struct Schedule {
     pub(crate) node_schedules: Vec<NodeSchedule>,
     pub(crate) peak_utilization: f64,
     pub(crate) baseline_peak: f64,
+    pub(crate) peak_lower_bound: f64,
     pub(crate) capacity_scale: f64,
     pub(crate) guard_time: f64,
 }
@@ -174,6 +175,17 @@ impl Schedule {
     /// 5–6 compare against).
     pub fn baseline_peak_utilization(&self) -> f64 {
         self.baseline_peak
+    }
+
+    /// A lower bound on the peak utilization of *every* path assignment
+    /// over the alternatives the compile considered
+    /// ([`crate::AssignPathsOutcome::lower_bound`]):
+    /// `peak_utilization / peak_lower_bound − 1` is the most a better
+    /// heuristic could still gain. 0 — no bound known — for a
+    /// [`Schedule::patched`] schedule, whose routes come from another
+    /// candidate set.
+    pub fn peak_lower_bound(&self) -> f64 {
+        self.peak_lower_bound
     }
 
     /// The message time bounds.
@@ -280,6 +292,7 @@ impl Schedule {
             node_schedules,
             peak_utilization,
             baseline_peak: self.baseline_peak,
+            peak_lower_bound: 0.0,
             capacity_scale: self.capacity_scale,
             guard_time: self.guard_time,
         }
@@ -476,7 +489,13 @@ fn compile_inner(
 /// — not the (possibly parallel) evaluation — reports them.
 enum SeedOutcome {
     Viable(SeedEval),
-    Utilization { err: CompileError, work: ClimbWork },
+    Utilization {
+        err: CompileError,
+        work: ClimbWork,
+        /// Set when the lower bound itself is above capacity: reseeding
+        /// cannot help, and this is why.
+        certificate: Option<PeakCertificate>,
+    },
 }
 
 /// The `assign_paths.*` work counters of one seed's heuristic run.
@@ -485,6 +504,9 @@ struct ClimbWork {
     restarts: u64,
     trials: u64,
     link_recomputes: u64,
+    climbs: u64,
+    certified_climbs: u64,
+    skipped_restarts: u64,
 }
 
 impl ClimbWork {
@@ -493,6 +515,9 @@ impl ClimbWork {
             restarts: outcome.restarts as u64,
             trials: outcome.trials,
             link_recomputes: outcome.link_recomputes,
+            climbs: outcome.climbs as u64,
+            certified_climbs: outcome.certified_climbs as u64,
+            skipped_restarts: outcome.skipped_restarts as u64,
         }
     }
 
@@ -500,6 +525,9 @@ impl ClimbWork {
         rec.add("assign_paths.restarts", self.restarts);
         rec.add("assign_paths.trials", self.trials);
         rec.add("assign_paths.link_recomputes", self.link_recomputes);
+        rec.add("assign_paths.climbs", self.climbs);
+        rec.add("assign_paths.certified_climbs", self.certified_climbs);
+        rec.add("assign_paths.skipped_restarts", self.skipped_restarts);
     }
 }
 
@@ -507,6 +535,7 @@ impl ClimbWork {
 struct SeedEval {
     peak: f64,
     baseline_peak: f64,
+    lower_bound: f64,
     assignment: PathAssignment,
     subsets: Vec<Vec<MessageId>>,
     work: ClimbWork,
@@ -649,6 +678,7 @@ impl SearchCtx<'_> {
         let peak = outcome.utilization.effective_peak();
         span.annotate("peak_utilization", peak);
         span.annotate("restarts", outcome.restarts as f64);
+        span.annotate("lower_bound", outcome.lower_bound);
         if peak > 1.0 - self.config.spare_capacity + self.config.utilization_tolerance {
             // The heuristic is deterministic-per-seed but the peak won't
             // drop below capacity by reseeding alone once it converged;
@@ -656,12 +686,14 @@ impl SearchCtx<'_> {
             return SeedOutcome::Utilization {
                 err: CompileError::UtilizationExceeded { utilization: peak },
                 work: ClimbWork::of(&outcome),
+                certificate: outcome.overload,
             };
         }
         let subsets = related_subsets(&outcome.assignment, self.activity);
         SeedOutcome::Viable(SeedEval {
             peak,
             baseline_peak: outcome.baseline_peak,
+            lower_bound: outcome.lower_bound,
             work: ClimbWork::of(&outcome),
             assignment: outcome.assignment,
             subsets,
@@ -918,9 +950,14 @@ impl SearchCtx<'_> {
             rec.add("search.seeds_walked", 1);
             let ev = match seed_result.seed_out {
                 SeedOutcome::Viable(ev) => ev,
-                SeedOutcome::Utilization { err, work } => {
+                SeedOutcome::Utilization {
+                    err,
+                    work,
+                    certificate,
+                } => {
                     work.report(rec);
                     rec.add("search.outcome.utilization_exceeded", 1);
+                    self.record_path_certificate(sidx, certificate);
                     self.record_candidate(
                         sidx,
                         None,
@@ -990,6 +1027,7 @@ impl SearchCtx<'_> {
                             period: self.period,
                             peak_utilization: ev.peak,
                             baseline_peak: ev.baseline_peak,
+                            peak_lower_bound: ev.lower_bound,
                             bounds: self.bounds.clone(),
                             assignment: ev.assignment,
                             intervals: self.intervals.clone(),
@@ -1072,6 +1110,17 @@ impl SearchCtx<'_> {
                 detail,
             });
         }
+    }
+
+    /// Stores the first seed's proof that no path assignment fits in the
+    /// diagnosis sink (the alternatives are the same for every seed, so the
+    /// later ones would only repeat it).
+    fn record_path_certificate(&self, sidx: usize, certificate: Option<PeakCertificate>) {
+        let (Some(d), Some(certificate)) = (self.diag, certificate) else {
+            return;
+        };
+        let mut d = d.lock().unwrap_or_else(|p| p.into_inner());
+        d.path_certificate.get_or_insert((sidx, certificate));
     }
 
     /// On an allocation-infeasible candidate, re-solves the failing subset

@@ -32,7 +32,9 @@ use sr_tfg::{MessageId, TaskFlowGraph, TimeBounds};
 use sr_topology::{LinkId, Topology};
 
 use crate::allocation_lp::build_subset_lp;
-use crate::{ActivityMatrix, Intervals, PathAssignment, Schedule, EPS};
+use crate::{
+    ActivityMatrix, BoundFloor, Intervals, PathAssignment, PeakCertificate, Schedule, EPS,
+};
 
 /// How one consumed `(seed, scale)` candidate of the compile walk ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,6 +146,13 @@ pub struct Diagnosis {
     pub period: f64,
     /// Consumed candidates in deterministic walk order.
     pub candidates: Vec<CandidateRecord>,
+    /// Set when a seed died at the utilization gate *and* the lower bound
+    /// on peak utilization is itself above 1: the seed, and the link and
+    /// messages proving that no path assignment over the enumerated
+    /// alternatives fits — so reseeding cannot help. Unlike `subset`'s
+    /// Farkas certificate this says nothing about allocation; the load
+    /// fails before it.
+    pub path_certificate: Option<(usize, PeakCertificate)>,
     /// Allocation-infeasibility explanation for the first candidate that
     /// died of it (the walk's reported subset).
     pub subset: Option<SubsetDiagnosis>,
@@ -157,6 +166,7 @@ impl Diagnosis {
         Diagnosis {
             period,
             candidates: Vec::new(),
+            path_certificate: None,
             subset: None,
             bottlenecks: Vec::new(),
         }
@@ -206,6 +216,38 @@ impl Diagnosis {
                 scale,
                 c.outcome.label(),
                 c.detail
+            );
+        }
+
+        if let Some((seed, c)) = &self.path_certificate {
+            let _ = writeln!(
+                out,
+                "\npath-assignment certificate (seed {seed}): no path assignment over these \
+                 alternatives can bring U below 1"
+            );
+            let what = match c.floor {
+                BoundFloor::FixedLink => "cannot be reached by any message that may move",
+                BoundFloor::ForcedGroup => "is crossed by every alternative of a group of messages",
+                BoundFloor::ForcedSpot => "is crossed by every alternative of no-slack messages",
+                BoundFloor::Solo => {
+                    "carries a message whose window is shorter than its transmission"
+                }
+            };
+            let place = match c.link {
+                Some(l) => format!("link {}", link_label(l)),
+                None => "whichever link".to_string(),
+            };
+            let _ = writeln!(
+                out,
+                "  {}: U ≥ {:.3} — {place} {what}",
+                c.floor.label(),
+                c.bound
+            );
+            let _ = writeln!(
+                out,
+                "  messages that cannot leave ({}): {}",
+                c.messages.len(),
+                names(&c.messages)
             );
         }
 

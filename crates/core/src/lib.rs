@@ -75,12 +75,15 @@ mod export;
 mod interval_sched;
 mod intervals;
 mod optimize;
+mod peak_bound;
 mod render;
 mod repack;
 mod replay;
 mod subsets;
 mod summary;
 mod switching;
+#[cfg(test)]
+mod testkit;
 mod utilization;
 mod verify;
 
@@ -115,6 +118,7 @@ pub use interval_sched::{
 };
 pub use intervals::{ActivityMatrix, Intervals};
 pub use optimize::{co_design, find_min_period, CoDesignResult, MinPeriodResult};
+pub use peak_bound::{BoundFloor, PeakCertificate};
 pub use repack::{
     free_within, intersect, pack_affected, reallocate_pinned, ReallocAttempt,
     ReallocAttemptOutcome, Repacked,

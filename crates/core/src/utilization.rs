@@ -40,9 +40,38 @@ pub struct UtilizationMap {
     hall_at: Option<LinkId>,
 }
 
-/// Per-message inputs of the utilization computation, gathered once so the
-/// per-link passes (full and incremental alike) read plain arrays.
-struct MsgInputs {
+/// Per-link by-products of [`UtilizationMap::compute_with`] that the map
+/// itself does not keep: what a climb's lower bound reads of its start
+/// assignment, dropped when the climbs are done.
+pub(crate) struct LinkDetail {
+    /// `max(U^l, spot row maximum, Hall bound)` per link — what the link
+    /// alone contributes to [`UtilizationMap::effective_peak`], which is
+    /// the maximum of these.
+    effective: Vec<f64>,
+    msgs: LinkLists,
+}
+
+impl LinkDetail {
+    /// Number of links covered.
+    pub(crate) fn num_links(&self) -> usize {
+        self.effective.len()
+    }
+
+    /// `max(U^l, spot row maximum, Hall bound)` of link `l`.
+    pub(crate) fn effective(&self, l: usize) -> f64 {
+        self.effective[l]
+    }
+
+    /// The messages routed over link `l`, ascending.
+    pub(crate) fn messages_on(&self, l: usize) -> &[usize] {
+        self.msgs.on(l)
+    }
+}
+
+/// Per-message inputs of the utilization computation, gathered once per
+/// `assign_paths_*` call so the per-link passes (full and incremental
+/// alike) and the climbs' lower bounds read plain arrays.
+pub(crate) struct MsgInputs {
     durations: Vec<f64>,
     no_slack: Vec<bool>,
     actives: Vec<Vec<usize>>,
@@ -50,19 +79,37 @@ struct MsgInputs {
     /// frame has at most 64 intervals (the common case), enabling the
     /// word-parallel Hall-bound path.
     masks: Option<Vec<u64>>,
+    /// `duration / active time` per message: the figure of a link the
+    /// message has to itself, and a floor on the effective figure of any
+    /// link it shares (the Hall bound tries its signature alone).
+    solo: Vec<f64>,
 }
 
 impl MsgInputs {
-    fn new(n: usize, bounds: &TimeBounds, activity: &ActivityMatrix, k_count: usize) -> Self {
+    pub(crate) fn new(
+        n: usize,
+        bounds: &TimeBounds,
+        activity: &ActivityMatrix,
+        intervals: &Intervals,
+    ) -> Self {
+        let k_count = intervals.len();
         let mut durations = Vec::with_capacity(n);
         let mut no_slack = Vec::with_capacity(n);
-        let mut actives = Vec::with_capacity(n);
+        let mut actives: Vec<Vec<usize>> = Vec::with_capacity(n);
+        let mut solo = Vec::with_capacity(n);
         for i in 0..n {
             let m = MessageId(i);
             let w = bounds.window(m);
+            let ks = activity.active_intervals(m);
+            let at: f64 = ks.iter().map(|&k| intervals.length(k)).sum();
+            solo.push(if at > 0.0 {
+                w.duration() / at
+            } else {
+                f64::INFINITY
+            });
             durations.push(w.duration());
             no_slack.push(w.is_no_slack());
-            actives.push(activity.active_intervals(m));
+            actives.push(ks);
         }
         let masks = (k_count <= 64).then(|| {
             actives
@@ -75,12 +122,19 @@ impl MsgInputs {
             no_slack,
             actives,
             masks,
+            solo,
         }
+    }
+
+    /// `duration / active time` of message `i` (`∞` for a message that is
+    /// never active).
+    pub(crate) fn solo(&self, i: usize) -> f64 {
+        self.solo[i]
     }
 }
 
 /// Reusable per-link work buffers.
-struct LinkScratch {
+pub(crate) struct LinkScratch {
     /// List path only (frames with more than 64 intervals): which intervals
     /// the current link has marked, and the marked ones. Both are left
     /// clear between calls, so one link costs O(its active entries), not
@@ -98,7 +152,7 @@ struct LinkScratch {
 }
 
 impl LinkScratch {
-    fn new(k_count: usize) -> Self {
+    pub(crate) fn new(k_count: usize) -> Self {
         LinkScratch {
             used: vec![false; k_count],
             marked: Vec::new(),
@@ -106,6 +160,19 @@ impl LinkScratch {
             sigs: Vec::new(),
             spots: Vec::new(),
         }
+    }
+
+    /// The last link's largest spot count and the first interval holding
+    /// it (`(0, 0)` for an empty row). The row is ascending by interval, so
+    /// the strict `>` lands where a dense scan's running maximum does.
+    fn spot_max(&self) -> (usize, usize) {
+        let mut best = (0usize, 0usize);
+        for &(k, c) in &self.spots {
+            if c > best.0 {
+                best = (c, k);
+            }
+        }
+        best
     }
 }
 
@@ -142,6 +209,10 @@ fn mask_length(set: u64, intervals: &Intervals) -> f64 {
 /// messages walk their interval lists; otherwise every message marks its
 /// intervals in `scratch`. Either way the union's length is summed by
 /// ascending interval, so the two paths agree bitwise.
+///
+/// Inlined into each of its three callers: with the third the compiler
+/// stopped doing so on its own (≈ 2 % of a 2,048-link flat climb).
+#[inline(always)]
 fn link_figures(
     msgs: &[usize],
     inputs: &MsgInputs,
@@ -308,15 +379,76 @@ fn hall_bound_masked(
     hall
 }
 
-/// The ascending message list of every link.
-fn per_link_messages(assignment: &PathAssignment, num_links: usize) -> Vec<Vec<usize>> {
-    let mut per_link: Vec<Vec<usize>> = vec![Vec::new(); num_links];
-    for i in 0..assignment.len() {
-        for &l in assignment.links(MessageId(i)) {
-            per_link[l.index()].push(i);
+/// The ascending message list of every link, back to back in one arena.
+struct LinkLists {
+    /// `offsets[l]..offsets[l + 1]` is link `l`'s slice of `msgs`.
+    offsets: Vec<usize>,
+    msgs: Vec<usize>,
+}
+
+impl LinkLists {
+    fn of(assignment: &PathAssignment, num_links: usize) -> Self {
+        let mut offsets = vec![0usize; num_links + 1];
+        for i in 0..assignment.len() {
+            for &l in assignment.links(MessageId(i)) {
+                offsets[l.index() + 1] += 1;
+            }
         }
+        for l in 0..num_links {
+            offsets[l + 1] += offsets[l];
+        }
+        let mut next = offsets.clone();
+        let mut msgs = vec![0usize; offsets[num_links]];
+        for i in 0..assignment.len() {
+            for &l in assignment.links(MessageId(i)) {
+                msgs[next[l.index()]] = i;
+                next[l.index()] += 1;
+            }
+        }
+        LinkLists { offsets, msgs }
     }
-    per_link
+
+    fn on(&self, l: usize) -> &[usize] {
+        &self.msgs[self.offsets[l]..self.offsets[l + 1]]
+    }
+}
+
+/// What a message list **forces** on its link however many more messages
+/// join it — the floors a climb's lower bound may use.
+///
+/// Only the monotone figures qualify. The Hall bound of a sub-list never
+/// exceeds the full list's (every signature union the sub-list tries, the
+/// full list tries too, and with at least as much demand inside it), and a
+/// spot count only grows. `U^l` does **not** qualify: `tx / |union of
+/// windows|` falls when a short message with a long window joins the link
+/// (9/10 becomes 10/100), so it is deliberately not returned.
+pub(crate) struct ForcedFloor {
+    /// A list of one: the message's own `duration / active time`, exact for
+    /// a link it has to itself and below the Hall bound of any list it is
+    /// part of. Two or more: the list's Hall bound.
+    pub(crate) group: f64,
+    /// The largest no-slack count of any interval (0 for a list that carries
+    /// no transmission time, whose spots the peak ignores).
+    pub(crate) spot: usize,
+}
+
+pub(crate) fn forced_floor(
+    msgs: &[usize],
+    inputs: &MsgInputs,
+    intervals: &Intervals,
+    scratch: &mut LinkScratch,
+) -> ForcedFloor {
+    let fig = link_figures(msgs, inputs, intervals, scratch);
+    let carries = fig.tx > 0.0;
+    ForcedFloor {
+        group: match msgs {
+            [] => 0.0,
+            [_] if carries => fig.util,
+            [_] => 0.0,
+            _ => fig.hall,
+        },
+        spot: if carries { scratch.spot_max().0 } else { 0 },
+    }
 }
 
 impl UtilizationMap {
@@ -329,48 +461,76 @@ impl UtilizationMap {
         intervals: &Intervals,
         num_links: usize,
     ) -> Self {
-        let k_count = intervals.len();
-        let inputs = MsgInputs::new(assignment.len(), bounds, activity, k_count);
-        let per_link_msgs = per_link_messages(assignment, num_links);
-        let mut scratch = LinkScratch::new(k_count);
+        let inputs = MsgInputs::new(assignment.len(), bounds, activity, intervals);
+        Self::compute_with(assignment, &inputs, intervals, num_links).0
+    }
+
+    /// [`UtilizationMap::compute`] over per-message inputs the caller
+    /// already gathered, together with the per-link detail the computation
+    /// derives on the way.
+    pub(crate) fn compute_with(
+        assignment: &PathAssignment,
+        inputs: &MsgInputs,
+        intervals: &Intervals,
+        num_links: usize,
+    ) -> (Self, LinkDetail) {
+        let link_msgs = LinkLists::of(assignment, num_links);
+        let mut scratch = LinkScratch::new(intervals.len());
 
         let mut link_util = vec![0.0f64; num_links];
+        let mut link_effective = vec![0.0f64; num_links];
         let mut peak_value = 0.0f64;
         let mut peak_at = None;
         let mut spots = Vec::new();
         let mut hall_peak = 0.0f64;
         let mut hall_at = None;
 
-        for (l, msgs) in per_link_msgs.iter().enumerate() {
-            let fig = link_figures(msgs, &inputs, intervals, &mut scratch);
+        for l in 0..num_links {
+            let fig = link_figures(link_msgs.on(l), inputs, intervals, &mut scratch);
+            let mut effective = fig.hall;
             if fig.tx > 0.0 {
                 link_util[l] = fig.util;
+                effective = effective.max(fig.util);
                 if fig.util > peak_value {
                     peak_value = fig.util;
                     peak_at = Some(Hotspot::Link(LinkId(l)));
                 }
                 for &(k, c) in &scratch.spots {
                     spots.push((LinkId(l), k, c));
+                    effective = effective.max(c as f64);
                     if c as f64 > peak_value {
                         peak_value = c as f64;
                         peak_at = Some(Hotspot::Spot(LinkId(l), k));
                     }
                 }
             }
+            link_effective[l] = effective;
             if fig.hall > hall_peak {
                 hall_peak = fig.hall;
                 hall_at = Some(LinkId(l));
             }
         }
 
-        UtilizationMap {
+        let map = UtilizationMap {
             link_util,
             spots,
             peak_value,
             peak_at,
             hall_peak,
             hall_at,
-        }
+        };
+        let detail = LinkDetail {
+            effective: link_effective,
+            msgs: link_msgs,
+        };
+        (map, detail)
+    }
+
+    /// The link [`UtilizationMap::effective_location`] names.
+    pub(crate) fn effective_link(&self) -> Option<LinkId> {
+        let (Hotspot::Link(l) | Hotspot::Spot(l, _) | Hotspot::Group(l)) =
+            self.effective_location()?;
+        Some(l)
     }
 
     /// The sharpest Hall-type group bound found (≥ every `U^l_j`): the
@@ -537,7 +697,7 @@ impl MaxTree {
 /// exactly.
 pub(crate) struct UtilEval<'a> {
     intervals: &'a Intervals,
-    inputs: MsgInputs,
+    inputs: &'a MsgInputs,
     routes: Vec<Route<'a>>,
     per_link_msgs: Vec<Vec<usize>>,
     link_util: Vec<f64>,
@@ -561,8 +721,7 @@ impl<'a> UtilEval<'a> {
     /// `routes[i]`.
     pub(crate) fn new(
         routes: Vec<Route<'a>>,
-        bounds: &TimeBounds,
-        activity: &ActivityMatrix,
+        inputs: &'a MsgInputs,
         intervals: &'a Intervals,
         num_links: usize,
     ) -> Self {
@@ -574,7 +733,7 @@ impl<'a> UtilEval<'a> {
         }
         let mut eval = UtilEval {
             intervals,
-            inputs: MsgInputs::new(routes.len(), bounds, activity, intervals.len()),
+            inputs,
             routes,
             per_link_msgs,
             link_util: vec![0.0; num_links],
@@ -692,20 +851,11 @@ impl<'a> UtilEval<'a> {
         self.link_recomputes += 1;
         let fig = link_figures(
             &self.per_link_msgs[l],
-            &self.inputs,
+            self.inputs,
             self.intervals,
             &mut self.scratch,
         );
-        let mut smax = 0usize;
-        let mut sarg = 0usize;
-        // The spot row is ascending, so the strict `>` lands on the first
-        // interval achieving the row maximum — the dense scan's selection.
-        for &(k, c) in &self.scratch.spots {
-            if c > smax {
-                smax = c;
-                sarg = k;
-            }
-        }
+        let (smax, sarg) = self.scratch.spot_max();
         self.spot_max[l] = smax;
         self.spot_arg[l] = sarg;
         let util = if fig.tx > 0.0 { fig.util } else { 0.0 };
@@ -872,6 +1022,10 @@ mod tests {
             }
         }
 
+        fn inputs(&self) -> MsgInputs {
+            MsgInputs::new(self.pa.len(), &self.bounds, &self.activity, &self.intervals)
+        }
+
         fn full(&self) -> UtilizationMap {
             UtilizationMap::compute(
                 &self.pa,
@@ -895,10 +1049,10 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let rows = self.pa.link_rows();
             let start = self.pa.clone();
+            let inputs = self.inputs();
             let mut eval = UtilEval::new(
                 start.routes(&rows),
-                &self.bounds,
-                &self.activity,
+                &inputs,
                 &self.intervals,
                 self.topo.num_links(),
             );
@@ -958,37 +1112,8 @@ mod tests {
         }
     }
 
-    /// The `figures scale` workload at 16×16: eight DVB pipelines, one per
-    /// 4-row × 8-column slot, all placed by the same seeded pattern — so
-    /// every tile repeats the same link loads and the peak is tied across
-    /// the tiles.
     fn tiled_farm_16x16() -> Walk {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        let n = 16;
-        let topo = sr_topology::Torus::new(&[n, n]).unwrap();
-        let tfg = sr_tfg::dvb_tiled(8, 10);
-        let per_tile = tfg.num_tasks() / 8;
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut cells: Vec<(usize, usize)> =
-            (0..4).flat_map(|r| (0..8).map(move |c| (r, c))).collect();
-        for i in 0..per_tile {
-            let j = rng.gen_range(i..cells.len());
-            cells.swap(i, j);
-        }
-        let placement = (0..4)
-            .flat_map(|band| (0..2).map(move |slot| (band, slot)))
-            .flat_map(|(band, slot)| {
-                cells[..per_tile]
-                    .iter()
-                    .map(move |&(dr, dc)| NodeId((band * 4 + dr) * n + slot * 8 + dc))
-            })
-            .collect();
-        let alloc = Allocation::new(placement, &tfg, &topo).unwrap();
-        let timing = Timing::calibrated_dvb(256.0);
-        let period = timing.longest_task(&tfg) / 0.5;
-        let bounds = assign_time_bounds(&tfg, &timing, period, WindowPolicy::LongestTask).unwrap();
+        let (topo, tfg, alloc, bounds) = crate::testkit::tiled_farm_16x16(7);
         Walk::new(Box::new(topo), &tfg, &alloc, bounds)
     }
 
@@ -1083,13 +1208,7 @@ mod tests {
             "{} intervals",
             walk.intervals.len()
         );
-        let inputs = MsgInputs::new(
-            walk.pa.len(),
-            &walk.bounds,
-            &walk.activity,
-            walk.intervals.len(),
-        );
-        assert!(inputs.masks.is_none());
+        assert!(walk.inputs().masks.is_none());
     }
 
     /// The word-parallel figures are the list path's, bit for bit: same
@@ -1106,15 +1225,14 @@ mod tests {
         let mut spot_rows = 0;
         for (w, walk) in walks.iter().enumerate() {
             let k_count = walk.intervals.len();
-            let mut inputs = MsgInputs::new(walk.pa.len(), &walk.bounds, &walk.activity, k_count);
+            let mut inputs = walk.inputs();
             assert!(inputs.masks.is_some(), "walk {w} has {k_count} intervals");
-            let per_link = per_link_messages(&walk.pa, walk.topo.num_links());
+            let per_link = LinkLists::of(&walk.pa, walk.topo.num_links());
             let mut scratch = LinkScratch::new(k_count);
             let mut figures = |inputs: &MsgInputs| -> Vec<_> {
-                per_link
-                    .iter()
-                    .map(|msgs| {
-                        let f = link_figures(msgs, inputs, &walk.intervals, &mut scratch);
+                (0..walk.topo.num_links())
+                    .map(|l| {
+                        let f = link_figures(per_link.on(l), inputs, &walk.intervals, &mut scratch);
                         let bits = [f.tx.to_bits(), f.util.to_bits(), f.hall.to_bits()];
                         (bits, scratch.spots.clone())
                     })

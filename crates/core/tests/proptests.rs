@@ -3,15 +3,15 @@
 
 use proptest::prelude::*;
 use sr_core::{
-    allocate_intervals, allocate_intervals_flow_with_kernel, assign_paths, compile,
-    related_subsets, schedule_intervals, ActivityMatrix, AllocEngine, AllocationStats,
-    AssignPathsConfig, CompileConfig, FlowAllocStats, FlowKernel, FlowWorkspace, Intervals,
-    PathAssignment, UtilizationMap, EPS,
+    allocate_intervals, allocate_intervals_flow_with_kernel, assign_paths, assign_paths_partial,
+    assign_paths_partitioned, band_partition_topo, compile, related_subsets, schedule_intervals,
+    ActivityMatrix, AllocEngine, AllocationStats, AssignPathsConfig, CompileConfig, FlowAllocStats,
+    FlowKernel, FlowWorkspace, Intervals, PathAssignment, PathPool, UtilizationMap, EPS,
 };
 use sr_mapping::Allocation;
 use sr_tfg::generators::{layered_random, LayeredParams};
 use sr_tfg::{assign_time_bounds, MessageId, TaskFlowGraph, TimeBounds, Timing, WindowPolicy};
-use sr_topology::{GeneralizedHypercube, Topology};
+use sr_topology::{GeneralizedHypercube, Topology, Torus};
 
 #[derive(Debug, Clone)]
 struct Stage {
@@ -52,6 +52,72 @@ fn stage() -> impl Strategy<Value = (Stage, u64)> {
 
 fn cube() -> GeneralizedHypercube {
     GeneralizedHypercube::binary(4).unwrap()
+}
+
+/// The paper's three platform families at 64 and 16 nodes.
+fn platform(which: usize) -> Box<dyn Topology> {
+    match which % 3 {
+        0 => Box::new(GeneralizedHypercube::binary(6).unwrap()),
+        1 => Box::new(GeneralizedHypercube::new(&[4, 4, 4]).unwrap()),
+        _ => Box::new(Torus::new(&[4, 4]).unwrap()),
+    }
+}
+
+/// A random layered TFG randomly placed on one of the three platforms, at a
+/// load between saturation and half of it, with loose or tight windows.
+#[derive(Debug, Clone)]
+struct Placed {
+    which: usize,
+    tfg: TaskFlowGraph,
+    alloc: Allocation,
+    bounds: TimeBounds,
+}
+
+fn placed(layers: usize, width: usize) -> impl Strategy<Value = Placed> {
+    (
+        any::<u64>(),
+        any::<u64>(),
+        0usize..6,
+        1.0f64..2.0,
+        2usize..=layers,
+        2usize..=width,
+    )
+        .prop_map(|(seed, alloc_seed, which, period_factor, layers, width)| {
+            let tight = which >= 3;
+            let params = LayeredParams {
+                layers,
+                width,
+                edge_probability: 0.6,
+                ops: (500, 2000),
+                bytes: (64, 4096),
+            };
+            let tfg = layered_random(seed, &params);
+            let timing = Timing::new(64.0, 20.0);
+            let alloc = sr_mapping::random(&tfg, platform(which).as_ref(), alloc_seed);
+            let longest = timing.longest_task(&tfg).max(timing.longest_message(&tfg));
+            let policy = if tight {
+                WindowPolicy::Tight
+            } else {
+                WindowPolicy::LongestTask
+            };
+            let bounds = assign_time_bounds(&tfg, &timing, longest * period_factor, policy)
+                .expect("the period covers the longest task and message");
+            Placed {
+                which,
+                tfg,
+                alloc,
+                bounds,
+            }
+        })
+}
+
+/// Every third message or so, by a hash of its index and `salt`.
+fn some_messages(n: usize, salt: u64, at_most: usize) -> Vec<MessageId> {
+    (0..n)
+        .filter(|&i| (i as u64 ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 61 < 3)
+        .take(at_most)
+        .map(MessageId)
+        .collect()
 }
 
 proptest! {
@@ -367,5 +433,95 @@ proptest! {
         for &(_, _, count) in u.spots() {
             prop_assert!(count as f64 <= u.peak() + 1e-9);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The lower bound `AssignPaths` reports never exceeds the effective
+    /// peak it ends at — flat, re-routing a subset, or partitioned — and
+    /// the certified-climb counters stay within the climbs run.
+    #[test]
+    fn lower_bound_never_above_the_final_peak(p in placed(4, 4), salt in any::<u64>()) {
+        let topo = platform(p.which);
+        let topo = topo.as_ref();
+        let intervals = Intervals::from_bounds(&p.bounds);
+        let activity = ActivityMatrix::new(&p.bounds, &intervals);
+        let cfg = AssignPathsConfig { seed: salt, max_restarts: 3, ..AssignPathsConfig::default() };
+
+        let flat = assign_paths(&p.tfg, topo, &p.alloc, &p.bounds, &intervals, &activity, &cfg);
+        let base = PathAssignment::lsd_to_msd(&p.tfg, topo, &p.alloc);
+        let affected = some_messages(p.tfg.num_messages(), salt, usize::MAX);
+        let partial = assign_paths_partial(
+            topo, &p.bounds, &intervals, &activity, &base, &affected, &cfg,
+        );
+        let pool = PathPool::new(topo, cfg.path_cap);
+        let parts = 2 + (salt % 3) as usize;
+        let parted = assign_paths_partitioned(
+            &p.tfg, topo, &p.alloc, &p.bounds, &intervals, &activity, &cfg, &pool,
+            &band_partition_topo(topo, parts), 1,
+        );
+        for (what, out) in [("flat", &flat), ("partial", &partial), ("partitioned", &parted)] {
+            let peak = out.utilization.effective_peak();
+            prop_assert!(out.lower_bound <= peak + 1e-12,
+                "{what}: bound {} above the final peak {peak}", out.lower_bound);
+            prop_assert!(out.lower_bound >= 0.0);
+            prop_assert!(out.certified_climbs <= out.climbs);
+            prop_assert!(out.restarts + out.skipped_restarts <= out.climbs * cfg.max_restarts);
+            prop_assert_eq!(out.overload.is_some(), out.lower_bound > 1.0 + EPS);
+        }
+        // The flat problem has the most freedom, so the loosest bound; the
+        // partitioned call reports exactly that one.
+        prop_assert_eq!(parted.lower_bound.to_bits(), flat.lower_bound.to_bits());
+    }
+
+    /// …nor the **optimum**: with at most six messages free to move among
+    /// at most four routes each, every assignment can be enumerated.
+    #[test]
+    fn lower_bound_never_above_the_brute_force_optimum(
+        p in placed(3, 4),
+        salt in any::<u64>(),
+        cap in 2usize..=4,
+    ) {
+        let topo = platform(p.which);
+        let topo = topo.as_ref();
+        let intervals = Intervals::from_bounds(&p.bounds);
+        let activity = ActivityMatrix::new(&p.bounds, &intervals);
+        let cfg = AssignPathsConfig { path_cap: cap, ..AssignPathsConfig::default() };
+        let base = PathAssignment::lsd_to_msd(&p.tfg, topo, &p.alloc);
+        let affected = some_messages(p.tfg.num_messages(), salt, 6);
+        let out = assign_paths_partial(
+            topo, &p.bounds, &intervals, &activity, &base, &affected, &cfg,
+        );
+
+        let routes: Vec<_> = affected
+            .iter()
+            .map(|&m| {
+                let path = base.path(m);
+                topo.shortest_paths(path.source(), path.destination(), cap)
+            })
+            .collect();
+        let mut optimum = f64::INFINITY;
+        let mut choice = vec![0usize; affected.len()];
+        loop {
+            let mut pa = base.clone();
+            for ((&m, alts), &c) in affected.iter().zip(&routes).zip(&choice) {
+                pa.set_path(m, alts[c].clone(), topo);
+            }
+            let peak = UtilizationMap::compute(
+                &pa, &p.bounds, &activity, &intervals, topo.num_links(),
+            )
+            .effective_peak();
+            optimum = optimum.min(peak);
+            let Some(pos) = (0..choice.len()).find(|&i| choice[i] + 1 < routes[i].len()) else {
+                break;
+            };
+            choice[pos] += 1;
+            choice[..pos].fill(0);
+        }
+        prop_assert!(out.lower_bound <= optimum + 1e-12,
+            "bound {} above the optimum {optimum}", out.lower_bound);
+        prop_assert!(optimum <= out.utilization.effective_peak() + 1e-12);
     }
 }

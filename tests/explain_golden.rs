@@ -71,3 +71,41 @@ fn explain_feasible_reports_winner_and_bottlenecks() {
     assert!(out.contains("bottlenecks (tightest capacity rows"), "{out}");
     assert!(out.contains("% of "), "{out}");
 }
+
+/// When the lower bound on peak utilization is itself above 1, `explain`
+/// says so and names the witness — a statement about *every* path
+/// assignment over the enumerated alternatives, distinct from the
+/// allocation LP's Farkas certificate (which this load never reaches).
+#[test]
+fn explain_names_the_path_certificate_when_no_assignment_fits() {
+    const ARGS: &str =
+        "explain --topo cube:3 --tfg dvb:10 --bandwidth 64 --alloc greedy --period 100";
+    let explain = |extra: &str| {
+        let opts = parse_args(&args(&format!("{ARGS} {extra}"))).unwrap();
+        let mut out = String::new();
+        run(&opts, &mut out).unwrap();
+        out
+    };
+    let out = explain("--parallelism 1");
+    assert!(
+        out.contains("utilization exceeded: peak utilization 1.960"),
+        "{out}"
+    );
+    assert!(
+        out.contains(
+            "path-assignment certificate (seed 0): no path assignment over these \
+             alternatives can bring U below 1"
+        ),
+        "{out}"
+    );
+    assert!(
+        out.contains("  forced group: U ≥ 1.480 — link L7 (N3-N7) is crossed by every alternative"),
+        "{out}"
+    );
+    assert!(
+        out.contains("  messages that cannot leave (2): b6, c"),
+        "{out}"
+    );
+    assert!(!out.contains("Farkas"), "{out}");
+    assert_eq!(out, explain("--parallelism 4"));
+}

@@ -64,7 +64,14 @@ proptest! {
         let parallel = deterministic_counters(&cube, &tfg, &alloc, &timing, period, 4);
         // The climb's work counters are part of the compared set, not
         // filtered out with `par.`.
-        for name in ["assign_paths.restarts", "assign_paths.trials", "assign_paths.link_recomputes"] {
+        for name in [
+            "assign_paths.restarts",
+            "assign_paths.trials",
+            "assign_paths.link_recomputes",
+            "assign_paths.climbs",
+            "assign_paths.certified_climbs",
+            "assign_paths.skipped_restarts",
+        ] {
             prop_assert!(serial.0.contains_key(name), "missing {}", name);
         }
         prop_assert_eq!(serial, parallel);
@@ -74,7 +81,8 @@ proptest! {
 /// The partitioned climb runs its parts on the `sr-par` pool; the work
 /// counters are summed from the parts' outcomes by the serial walk, so they
 /// too are the same at any thread count — and non-trivial on a workload
-/// whose peak link has alternatives to try.
+/// whose peak link has alternatives to try: the climbs do restart, and the
+/// ones that reach their lower bound skip the rest of their budget.
 #[test]
 fn partitioned_climb_work_counters_are_thread_invariant() {
     let topo = Torus::new(&[8, 8]).unwrap();
@@ -92,7 +100,15 @@ fn partitioned_climb_work_counters_are_thread_invariant() {
         compile_with_recorder(&topo, &tfg, &alloc, &timing, period, &config, &rec)
             .expect("DVB compiles at half load");
         let all = rec.counters();
-        ["restarts", "trials", "link_recomputes"].map(|c| all[&format!("assign_paths.{c}")])
+        [
+            "restarts",
+            "trials",
+            "link_recomputes",
+            "climbs",
+            "certified_climbs",
+            "skipped_restarts",
+        ]
+        .map(|c| all[&format!("assign_paths.{c}")])
     };
     let serial = counters(1);
     assert_eq!(serial, counters(4));
