@@ -631,9 +631,9 @@ pub fn scale_point(
 /// Renders the scale sweep as a Markdown table.
 pub fn scale_markdown(points: &[ScalePoint]) -> String {
     let mut out = String::from(
-        "| platform | nodes | messages | engine | parts | compile (ms) | verify (ms) | U \
-         | lower bound | gap | climbs | certified | restarts |\n\
-         |---|---|---|---|---|---|---|---|---|---|---|---|---|\n",
+        "| platform | nodes | messages | engine | parts | compile (ms) | verify (ms) \
+         | verify µs/message | U | lower bound | gap | climbs | certified | restarts |\n\
+         |---|---|---|---|---|---|---|---|---|---|---|---|---|---|\n",
     );
     for p in points {
         let u = match &p.outcome {
@@ -645,7 +645,7 @@ pub fn scale_markdown(points: &[ScalePoint]) -> String {
             Err(e) => format!("{e} | – | –"),
         };
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {:.1} | {:.1} | {u} | {} | {} | {} |\n",
+            "| {} | {} | {} | {} | {} | {:.1} | {:.1} | {:.2} | {u} | {} | {} | {} |\n",
             p.platform,
             p.nodes,
             p.messages,
@@ -653,6 +653,7 @@ pub fn scale_markdown(points: &[ScalePoint]) -> String {
             p.partition,
             p.compile_ms,
             p.verify_ms,
+            1e3 * p.verify_ms / p.messages.max(1) as f64,
             p.climbs,
             p.certified_climbs,
             p.restarts

@@ -78,6 +78,10 @@ use crate::{ActivityMatrix, CompileError, IntervalAllocation, Intervals, PathAss
 /// schedule-level [`EPS`].
 const FLOW_EPS: f64 = 1e-9;
 
+/// Every subset network's first two nodes.
+const SOURCE: usize = 0;
+const SINK: usize = 1;
+
 /// Which augmenting-search kernel drives the min-cost-flow solves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FlowKernel {
@@ -126,16 +130,93 @@ struct Arc {
     cost: f64,
 }
 
-/// Reusable scratch for the min-cost-flow kernel: the arc pool, adjacency
-/// lists, distance/potential/predecessor arrays, the Dijkstra heap, and
-/// the extraction queue. Create one per compile ladder (or hold one per
-/// tenant/repair session) and pass it to every flow allocation — buffers
+/// Reusable scratch for the flow allocation: the residual network with its
+/// kernel buffers (arc pool, adjacency lists, distance/potential/predecessor
+/// arrays, the Dijkstra heap, the extraction queue) and the link index each
+/// subset network is built from. Create one per compile ladder (or hold one
+/// per tenant/repair session) and pass it to every flow allocation — buffers
 /// are recycled across subset solves, so steady-state solves allocate
 /// nothing. The workspace carries no semantic state between solves
 /// (potentials are re-initialized per subset network); reuse is purely an
 /// allocation cache and cannot change any result bit.
 #[derive(Debug, Default)]
 pub struct FlowWorkspace {
+    net: FlowNet,
+    local: LocalLinks,
+}
+
+impl FlowWorkspace {
+    /// An empty workspace; buffers grow to the largest subset network
+    /// solved through it and are then reused.
+    pub fn new() -> Self {
+        FlowWorkspace::default()
+    }
+
+    /// Builds the time-expanded network of `subset` and returns each
+    /// member's entry arcs, one per active interval. Nodes: source, sink,
+    /// one per member, then the `(in, out)` capacity pairs in ascending
+    /// (link, interval) order; the order nodes and arcs are created in
+    /// fixes the adjacency order the kernel's tie-breaks read, so it is
+    /// part of the result.
+    fn build<C>(
+        &mut self,
+        assignment: &PathAssignment,
+        subset: &[MessageId],
+        actives: &[Vec<usize>],
+        durations: &[f64],
+        capacity: &C,
+    ) -> Vec<Vec<usize>>
+    where
+        C: Fn(LinkId, usize) -> f64,
+    {
+        let FlowWorkspace { net, local } = self;
+        let total: f64 = durations.iter().sum();
+        net.reset_net(2 + subset.len());
+        let member_node = |mi: usize| 2 + mi;
+
+        local.index(assignment, subset, actives);
+        for li in 0..local.len() {
+            local.first_node.push(net.nodes);
+            for &k in local.intervals(li) {
+                let input = net.add_node();
+                let output = net.add_node();
+                net.add_arc(input, output, capacity(local.link(li), k), 0.0);
+            }
+        }
+
+        // Source and chain arcs, member-major then interval-major. Transfer
+        // and exit arcs are deduplicated — messages sharing consecutive
+        // links share them. Only those arcs leave a capacity pair's out
+        // node, so its adjacency list is the record of which exist.
+        let mut entry_arcs: Vec<Vec<usize>> = vec![Vec::new(); subset.len()];
+        for (mi, &m) in subset.iter().enumerate() {
+            net.add_arc(SOURCE, member_node(mi), durations[mi], 0.0);
+            let links = assignment.links(m);
+            local.start_chain(links);
+            for &k in &actives[mi] {
+                let (first_in, mut out) = local.capacity_pair(0, k);
+                let entry = net.add_arc(member_node(mi), first_in, durations[mi], k as f64);
+                entry_arcs[mi].push(entry);
+                for hop in 1..links.len() {
+                    let (next_in, next_out) = local.capacity_pair(hop, k);
+                    if !net.has_arc(out, next_in) {
+                        net.add_arc(out, next_in, total, 0.0);
+                    }
+                    out = next_out;
+                }
+                if !net.has_arc(out, SINK) {
+                    net.add_arc(out, SINK, total, 0.0);
+                }
+            }
+        }
+        entry_arcs
+    }
+}
+
+/// The residual network of one subset and the min-cost-flow kernel's
+/// buffers over it.
+#[derive(Debug, Default)]
+struct FlowNet {
     arcs: Vec<Arc>,
     /// Adjacency lists; only the first `nodes` entries are live. Entries
     /// beyond the live prefix are empty (cleared on reset), so growing
@@ -150,13 +231,112 @@ pub struct FlowWorkspace {
     queue: VecDeque<usize>,
 }
 
-impl FlowWorkspace {
-    /// An empty workspace; buffers grow to the largest subset network
-    /// solved through it and are then reused.
-    pub fn new() -> Self {
-        FlowWorkspace::default()
+/// The links one subset's members cross, numbered locally in ascending
+/// link order, each with its members, the intervals any of them is active
+/// in, and the capacity nodes built for those. Rebuilt per subset network;
+/// every list is sorted, so a lookup is an index, a binary search or a
+/// cursor that only moves forward — never a hash.
+#[derive(Debug, Default)]
+struct LocalLinks {
+    /// `(link, member index)` for every hop of every member, ascending —
+    /// a link's members sit together, in member order.
+    incidences: Vec<(LinkId, usize)>,
+    /// Local link `li` owns `incidences[spans[li].0..spans[li + 1].0]` and
+    /// the intervals `ks[spans[li].1..spans[li + 1].1]`, the ascending
+    /// union of its members' active intervals; one sentinel entry closes
+    /// the last link.
+    spans: Vec<(usize, usize)>,
+    ks: Vec<usize>,
+    /// Network node of local link `li`'s first capacity pair: its `i`-th
+    /// interval enters at `first_node[li] + 2·i` and leaves one above.
+    first_node: Vec<usize>,
+    /// One member's chain while its arcs are added: the local link of each
+    /// hop, and how far into that link's intervals the member's have come.
+    hop_link: Vec<usize>,
+    hop_cursor: Vec<usize>,
+}
+
+impl LocalLinks {
+    /// Indexes the links of `subset`'s members.
+    fn index(&mut self, assignment: &PathAssignment, subset: &[MessageId], actives: &[Vec<usize>]) {
+        let LocalLinks {
+            incidences,
+            spans,
+            ks,
+            first_node,
+            ..
+        } = self;
+        incidences.clear();
+        for (mi, &m) in subset.iter().enumerate() {
+            incidences.extend(assignment.links(m).iter().map(|&l| (l, mi)));
+        }
+        incidences.sort_unstable();
+        spans.clear();
+        ks.clear();
+        first_node.clear();
+        let mut at = 0;
+        let mut union = Vec::new();
+        for on_link in incidences.chunk_by(|a, b| a.0 == b.0) {
+            spans.push((at, ks.len()));
+            at += on_link.len();
+            union.clear();
+            for &(_, mi) in on_link {
+                union.extend_from_slice(&actives[mi]);
+            }
+            union.sort_unstable();
+            union.dedup();
+            ks.extend_from_slice(&union);
+        }
+        spans.push((at, ks.len()));
     }
 
+    /// Number of distinct links.
+    fn len(&self) -> usize {
+        self.spans.len() - 1
+    }
+
+    fn link(&self, li: usize) -> LinkId {
+        self.incidences[self.spans[li].0].0
+    }
+
+    /// Member indices on local link `li`, ascending.
+    fn members(&self, li: usize) -> impl Iterator<Item = usize> + '_ {
+        let on_link = &self.incidences[self.spans[li].0..self.spans[li + 1].0];
+        on_link.iter().map(|&(_, mi)| mi)
+    }
+
+    /// The intervals in which any member on local link `li` is active.
+    fn intervals(&self, li: usize) -> &[usize] {
+        &self.ks[self.spans[li].1..self.spans[li + 1].1]
+    }
+
+    /// Starts the chain of a member crossing `links`.
+    fn start_chain(&mut self, links: &[LinkId]) {
+        self.hop_link.clear();
+        for &link in links {
+            let firsts = &self.spans[..self.len()];
+            let li = firsts.partition_point(|&(at, _)| self.incidences[at].0 < link);
+            self.hop_link.push(li);
+        }
+        self.hop_cursor.clear();
+        self.hop_cursor.resize(links.len(), 0);
+    }
+
+    /// The capacity pair `(in, out)` of the current chain's hop `hop` in
+    /// interval `k`. A chain asks for its intervals in ascending order.
+    fn capacity_pair(&mut self, hop: usize, k: usize) -> (usize, usize) {
+        let li = self.hop_link[hop];
+        let ks = &self.ks[self.spans[li].1..];
+        let cursor = &mut self.hop_cursor[hop];
+        while ks[*cursor] != k {
+            *cursor += 1;
+        }
+        let input = self.first_node[li] + 2 * *cursor;
+        (input, input + 1)
+    }
+}
+
+impl FlowNet {
     /// Clears the network back to `nodes` isolated nodes, keeping every
     /// buffer's capacity.
     fn reset_net(&mut self, nodes: usize) {
@@ -190,6 +370,12 @@ impl FlowWorkspace {
         self.adj[from].push(i);
         self.adj[to].push(i + 1);
         i
+    }
+
+    /// `true` when a forward arc `from → to` has been added.
+    fn has_arc(&self, from: usize, to: usize) -> bool {
+        let mut out = self.adj[from].iter();
+        out.any(|&ai| ai % 2 == 0 && self.arcs[ai].to == to)
     }
 
     /// Flow carried by forward arc `ai` (its reverse twin's residual).
@@ -279,7 +465,7 @@ impl FlowWorkspace {
     /// floats the bit pattern orders like the value, and the id breaks
     /// ties deterministically.
     fn dijkstra(&mut self, s: usize, stats: &mut FlowAllocStats) {
-        let FlowWorkspace {
+        let FlowNet {
             arcs,
             adj,
             nodes,
@@ -320,7 +506,7 @@ impl FlowWorkspace {
     /// exact integers, so strict improvement needs no epsilon and the
     /// fixed point is the exact distance vector.
     fn bellman_ford(&mut self, s: usize) {
-        let FlowWorkspace {
+        let FlowNet {
             arcs,
             adj,
             nodes,
@@ -358,7 +544,7 @@ impl FlowWorkspace {
     /// along any comparison of true distances), so the BFS tree — and the
     /// augmenting path it yields — is identical under either kernel.
     fn extract_predecessors(&mut self, s: usize, t: usize, kernel: FlowKernel) {
-        let FlowWorkspace {
+        let FlowNet {
             arcs,
             adj,
             nodes,
@@ -624,69 +810,13 @@ where
         .collect();
     let total: f64 = durations.iter().sum();
 
-    // Nodes: source, sink, one per member, then (link, interval) capacity
-    // pairs created in ascending (link, interval) order.
-    ws.reset_net(2 + subset.len());
-    let (source, sink) = (0usize, 1usize);
-    let member_node = |mi: usize| 2 + mi;
-
-    let mut on_link: std::collections::BTreeMap<LinkId, Vec<usize>> =
-        std::collections::BTreeMap::new();
-    for (mi, &m) in subset.iter().enumerate() {
-        for &l in assignment.links(m) {
-            on_link.entry(l).or_default().push(mi);
-        }
-    }
-    // cap_arc[(link, k)] -> (in node, capacity arc index); the out node is
-    // the arc's head.
-    let mut cap_arc: std::collections::HashMap<(LinkId, usize), (usize, usize)> =
-        std::collections::HashMap::new();
-    let mut link_ks: Vec<usize> = Vec::new();
-    for (&link, members) in &on_link {
-        link_ks.clear();
-        for &mi in members {
-            link_ks.extend_from_slice(&actives[mi]);
-        }
-        link_ks.sort_unstable();
-        link_ks.dedup();
-        for &k in &link_ks {
-            let input = ws.add_node();
-            let output = ws.add_node();
-            let ai = ws.add_arc(input, output, capacity(link, k), 0.0);
-            cap_arc.insert((link, k), (input, ai));
-        }
-    }
-
-    // Source and chain arcs, member-major then interval-major. Transfer
-    // and exit arcs are deduplicated — messages sharing consecutive links
-    // share them.
-    let mut entry_arcs: Vec<Vec<usize>> = vec![Vec::new(); subset.len()];
-    let mut seen_transfer: std::collections::HashSet<(usize, usize)> =
-        std::collections::HashSet::new();
-    for (mi, &m) in subset.iter().enumerate() {
-        ws.add_arc(source, member_node(mi), durations[mi], 0.0);
-        let links = assignment.links(m);
-        for &k in &actives[mi] {
-            let first_in = cap_arc[&(links[0], k)].0;
-            entry_arcs[mi].push(ws.add_arc(member_node(mi), first_in, durations[mi], k as f64));
-            for w in links.windows(2) {
-                let from_out = ws.arcs[cap_arc[&(w[0], k)].1].to;
-                let to_in = cap_arc[&(w[1], k)].0;
-                if seen_transfer.insert((from_out, to_in)) {
-                    ws.add_arc(from_out, to_in, total, 0.0);
-                }
-            }
-            let last_out = ws.arcs[cap_arc[&(links[links.len() - 1], k)].1].to;
-            if seen_transfer.insert((last_out, sink)) {
-                ws.add_arc(last_out, sink, total, 0.0);
-            }
-        }
-    }
+    let entry_arcs = ws.build(assignment, subset, &actives, &durations, &capacity);
+    let FlowWorkspace { net, local } = ws;
 
     stats.solves += 1;
-    stats.nodes += ws.nodes as u64;
-    stats.arcs += (ws.arcs.len() / 2) as u64;
-    let value = ws.max_flow_min_cost(source, sink, kernel, stats);
+    stats.nodes += net.nodes as u64;
+    stats.arcs += (net.arcs.len() / 2) as u64;
+    let value = net.max_flow_min_cost(SOURCE, SINK, kernel, stats);
     if value < total - EPS {
         // Exact verdict: an LP-feasible split always induces a full flow.
         return Err(CompileError::AllocationInfeasible {
@@ -702,7 +832,7 @@ where
         let mut row: Vec<f64> = ks
             .iter()
             .zip(&entry_arcs[mi])
-            .map(|(_, &ai)| ws.flow(ai))
+            .map(|(_, &ai)| net.flow(ai))
             .collect();
         let shortfall = durations[mi] - row.iter().sum::<f64>();
         if shortfall.abs() > FLOW_EPS {
@@ -714,24 +844,18 @@ where
     }
 
     // Exact constraint-(4) re-check: chain jumping can undercharge a link.
-    let exact = on_link.iter().all(|(&link, members)| {
-        link_ks.clear();
-        for &mi in members {
-            link_ks.extend_from_slice(&actives[mi]);
-        }
-        link_ks.sort_unstable();
-        link_ks.dedup();
-        link_ks.iter().all(|&k| {
-            let used: f64 = members
-                .iter()
-                .filter_map(|&mi| {
+    let exact = (0..local.len()).all(|li| {
+        local.intervals(li).iter().all(|&k| {
+            let used: f64 = local
+                .members(li)
+                .filter_map(|mi| {
                     actives[mi]
                         .iter()
                         .position(|&ak| ak == k)
                         .map(|pos| x[mi][pos])
                 })
                 .sum();
-            used <= capacity(link, k) + EPS
+            used <= capacity(local.link(li), k) + EPS
         })
     });
     if !exact {
@@ -1064,5 +1188,122 @@ mod tests {
                 full.allocated(MessageId(0), k).to_bits()
             );
         }
+    }
+
+    /// The network as the keyed containers built it — a `BTreeMap` of
+    /// links, a hashed `(link, interval) → capacity arc` table and a hashed
+    /// set of transfer arcs — as `(from, to, cap, cost)` per forward arc.
+    fn keyed_build(
+        assignment: &PathAssignment,
+        subset: &[MessageId],
+        actives: &[Vec<usize>],
+        durations: &[f64],
+        capacity: impl Fn(LinkId, usize) -> f64,
+    ) -> (usize, Vec<(usize, usize, f64, f64)>) {
+        use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+        let total: f64 = durations.iter().sum();
+        let mut nodes = 2 + subset.len();
+        let mut arcs = Vec::new();
+        let mut on_link: BTreeMap<LinkId, Vec<usize>> = BTreeMap::new();
+        for (mi, &m) in subset.iter().enumerate() {
+            for &l in assignment.links(m) {
+                on_link.entry(l).or_default().push(mi);
+            }
+        }
+        let mut pair: HashMap<(LinkId, usize), (usize, usize)> = HashMap::new();
+        for (&link, members) in &on_link {
+            let ks: BTreeSet<usize> = members
+                .iter()
+                .flat_map(|&mi| &actives[mi])
+                .copied()
+                .collect();
+            for k in ks {
+                arcs.push((nodes, nodes + 1, capacity(link, k), 0.0));
+                pair.insert((link, k), (nodes, nodes + 1));
+                nodes += 2;
+            }
+        }
+        let mut seen: HashSet<(usize, usize)> = HashSet::new();
+        for (mi, &m) in subset.iter().enumerate() {
+            arcs.push((SOURCE, 2 + mi, durations[mi], 0.0));
+            let links = assignment.links(m);
+            for &k in &actives[mi] {
+                arcs.push((2 + mi, pair[&(links[0], k)].0, durations[mi], k as f64));
+                for w in links.windows(2) {
+                    let hop = (pair[&(w[0], k)].1, pair[&(w[1], k)].0);
+                    if seen.insert(hop) {
+                        arcs.push((hop.0, hop.1, total, 0.0));
+                    }
+                }
+                let exit = (pair[&(links[links.len() - 1], k)].1, SINK);
+                if seen.insert(exit) {
+                    arcs.push((exit.0, exit.1, total, 0.0));
+                }
+            }
+        }
+        (nodes, arcs)
+    }
+
+    /// The sorted link list creates every node and arc the keyed containers
+    /// created, in their order — on multi-hop chains that share consecutive
+    /// links, through one reused workspace.
+    #[test]
+    fn network_build_matches_the_keyed_containers_arc_for_arc() {
+        let (topo, tfg, alloc, bounds) = crate::testkit::tiled_farm_16x16(7);
+        let intervals = Intervals::from_bounds(&bounds);
+        let activity = ActivityMatrix::new(&bounds, &intervals);
+        let assignment = PathAssignment::lsd_to_msd(&tfg, &topo, &alloc);
+        let mut subsets = related_subsets(&assignment, &activity);
+        // One network over every network-borne message too: long shared
+        // chains, many links per member.
+        let routed = |m: &MessageId| !assignment.links(*m).is_empty();
+        subsets.push(
+            (0..assignment.len())
+                .map(MessageId)
+                .filter(routed)
+                .collect(),
+        );
+        let capacity = |link: LinkId, k: usize| intervals.length(k) + link.index() as f64;
+        let mut ws = FlowWorkspace::new();
+        let (mut multi_hop, mut shared_hops) = (0, 0);
+        for subset in &subsets {
+            let actives: Vec<Vec<usize>> = subset
+                .iter()
+                .map(|&m| activity.active_intervals(m))
+                .collect();
+            let durations: Vec<f64> = subset
+                .iter()
+                .map(|&m| bounds.window(m).duration())
+                .collect();
+            let (nodes, arcs) = keyed_build(&assignment, subset, &actives, &durations, capacity);
+            let entry_arcs = ws.build(&assignment, subset, &actives, &durations, &capacity);
+            assert_eq!(ws.net.nodes, nodes);
+            let built: Vec<(usize, usize, f64, f64)> = ws
+                .net
+                .arcs
+                .chunks_exact(2)
+                .map(|pair| (pair[1].to, pair[0].to, pair[0].cap, pair[0].cost))
+                .collect();
+            assert_eq!(built, arcs);
+            for (mi, entries) in entry_arcs.iter().enumerate() {
+                assert_eq!(entries.len(), actives[mi].len());
+                for (&ai, &k) in entries.iter().zip(&actives[mi]) {
+                    assert_eq!((ai % 2, ws.net.arcs[ai].cost), (0, k as f64));
+                    assert_eq!(ws.net.arcs[ai ^ 1].to, 2 + mi);
+                }
+            }
+            // One arc per capacity pair and member, and per member and
+            // interval an entry, a transfer per further hop and an exit —
+            // fewer when chains shared a transfer or an exit.
+            let chains = actives.iter().zip(subset);
+            let chain_arcs = chains.map(|(ks, &m)| ks.len() * (assignment.links(m).len() + 1));
+            let undeduplicated = ws.local.ks.len() + subset.len() + chain_arcs.sum::<usize>();
+            shared_hops += usize::from(arcs.len() < undeduplicated);
+            multi_hop += usize::from(subset.iter().any(|&m| assignment.links(m).len() > 1));
+        }
+        assert!(
+            multi_hop > 0 && shared_hops > 0,
+            "{multi_hop} {shared_hops}"
+        );
     }
 }

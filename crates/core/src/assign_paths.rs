@@ -29,9 +29,19 @@ impl Routes {
     pub(crate) fn derive(paths: Vec<Path>, topo: &dyn Topology) -> Self {
         let hops = paths.first().map_or(0, Path::hops);
         let mut rows = Vec::with_capacity(paths.len() * hops);
+        let mut previous: &[NodeId] = &[];
         for path in &paths {
             assert_eq!(path.hops(), hops, "shortest paths differ in length");
-            rows.extend(path.links(topo).into_iter().map(compact_link));
+            // A hop's link depends on its two nodes alone, so the hops this
+            // path shares with the one before it — enumeration is depth
+            // first, so usually most of them — are copied from that row.
+            let nodes = path.nodes();
+            let same = nodes.iter().zip(previous).take_while(|(a, b)| a == b);
+            let shared = same.count().saturating_sub(1);
+            let above = rows.len().saturating_sub(hops);
+            rows.extend_from_within(above..above + shared);
+            rows.extend(path.links_from(shared, topo).map(compact_link));
+            previous = nodes;
         }
         if paths.len() > 1 {
             // Most pairs with a choice of routes share no link at all, and
@@ -1154,9 +1164,14 @@ mod tests {
     }
 
     /// A pooled link row is its path's `Path::links`, hop for hop, on every
-    /// topology family and on a masked fabric — the climb never derives a
-    /// row again, so this is where the two are tied together. The cached
-    /// shared links are the rows' intersection.
+    /// topology family and on masked fabrics — the climb never derives a
+    /// row again, so this is where the two are tied together. A row copies
+    /// the hops its path shares with the one enumerated before it; the caps
+    /// below cut enumerations short inside and between the direction combos
+    /// of tied torus dimensions, where that shared prefix shrinks to nothing
+    /// from one path to the next, and the masked fabrics enumerate through
+    /// a BFS DAG instead of by dimension. The cached shared links are the
+    /// rows' intersection.
     #[test]
     fn pooled_link_rows_equal_path_links_on_every_topology() {
         let torus = sr_topology::Torus::new(&[4, 5]).unwrap();
@@ -1164,14 +1179,27 @@ mod tests {
         let mesh = sr_topology::Mesh::new(&[3, 4]).unwrap();
         let faults = sr_topology::FaultSet::random_links(&torus, 6, 3).fail_node(NodeId(7));
         let masked = sr_topology::MaskedTopology::new(&torus, faults);
-        let topos: [&dyn Topology; 4] = [&torus, &ghc, &mesh, &masked];
-        for topo in topos {
-            let pool = PathPool::new(topo, 16);
+        let tied = sr_topology::Torus::new(&[8, 8]).unwrap();
+        let tied3 = sr_topology::Torus::new(&[4, 4, 4]).unwrap();
+        let faults = sr_topology::FaultSet::random_links(&tied, 9, 5);
+        let masked_tied = sr_topology::MaskedTopology::new(&tied, faults);
+        let topos: [(&dyn Topology, usize); 8] = [
+            (&torus, 16),
+            (&ghc, 16),
+            (&mesh, 16),
+            (&masked, 16),
+            (&tied, 5),
+            (&tied, 72),
+            (&tied3, 7),
+            (&masked_tied, 6),
+        ];
+        for (topo, cap) in topos {
+            let pool = PathPool::new(topo, cap);
             let mut rows = 0;
             for src in (0..topo.num_nodes()).map(NodeId) {
                 for dst in (0..topo.num_nodes()).map(NodeId) {
                     let routes = pool.routes(src, dst);
-                    assert_eq!(routes.paths, topo.shortest_paths(src, dst, 16));
+                    assert_eq!(routes.paths, topo.shortest_paths(src, dst, cap));
                     assert_eq!(pool.paths(src, dst), &routes.paths[..]);
                     let on_all =
                         |l: &u32| (0..routes.len()).all(|j| routes.get(j).links.contains(l));

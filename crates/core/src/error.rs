@@ -169,8 +169,9 @@ pub enum VerifyError {
         /// Segment end, µs.
         end: f64,
     },
-    /// A segment is not aligned with the message's assigned path (its links
-    /// differ from the path assignment).
+    /// A segment is not aligned with the message's assigned path (some node
+    /// of the path lacks the command that backs it), or the assignment's
+    /// link row for the message is not the link sequence of its node path.
     WrongPath {
         /// The offending message.
         message: MessageId,

@@ -1,16 +1,19 @@
-use std::collections::HashMap;
-
 use crate::{LinkId, NodeId};
 
 /// Precomputed adjacency structure shared by the concrete topologies.
 ///
 /// Built once at construction from a neighbor function; provides dense link
-/// ids (one per unordered adjacent pair) and O(1) link lookup.
+/// ids (one per unordered adjacent pair) and link lookup by a binary search
+/// of one node's sorted neighbor list — `O(log degree)`, no hashing.
 #[derive(Debug, Clone)]
 pub(crate) struct Adjacency {
-    neighbors: Vec<Vec<NodeId>>,
+    /// Node `n`'s neighbors, ascending, are
+    /// `neighbors[starts[n]..starts[n + 1]]`.
+    starts: Vec<usize>,
+    neighbors: Vec<NodeId>,
+    /// `neighbor_links[i]` is the link to `neighbors[i]`.
+    neighbor_links: Vec<LinkId>,
     links: Vec<(NodeId, NodeId)>,
-    link_index: HashMap<(NodeId, NodeId), LinkId>,
 }
 
 impl Adjacency {
@@ -20,34 +23,47 @@ impl Adjacency {
     /// dimension where +1 and -1 reach the same node); they are deduplicated
     /// here. Link ids are assigned in ascending `(min, max)` endpoint order
     /// of first discovery, scanning nodes in ascending order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the neighbor function is not symmetric.
     pub(crate) fn build<F>(num_nodes: usize, mut neighbors_of: F) -> Self
     where
         F: FnMut(NodeId) -> Vec<NodeId>,
     {
-        let mut neighbors: Vec<Vec<NodeId>> = Vec::with_capacity(num_nodes);
+        let mut starts = Vec::with_capacity(num_nodes + 1);
+        let mut neighbors = Vec::new();
         for n in 0..num_nodes {
             let mut nb = neighbors_of(NodeId(n));
             nb.sort_unstable();
             nb.dedup();
             debug_assert!(nb.iter().all(|m| m.0 < num_nodes && m.0 != n));
-            neighbors.push(nb);
+            starts.push(neighbors.len());
+            neighbors.append(&mut nb);
         }
-        let mut links = Vec::new();
-        let mut link_index = HashMap::new();
-        for (n, nb) in neighbors.iter().enumerate() {
-            for &m in nb {
-                if m.0 > n {
-                    let id = LinkId(links.len());
-                    links.push((NodeId(n), m));
-                    link_index.insert((NodeId(n), m), id);
-                }
+        starts.push(neighbors.len());
+        let mut adj = Adjacency {
+            starts,
+            neighbor_links: Vec::with_capacity(neighbors.len()),
+            neighbors,
+            links: Vec::new(),
+        };
+        for n in 0..num_nodes {
+            for i in adj.starts[n]..adj.starts[n + 1] {
+                let m = adj.neighbors[i];
+                // The lower endpoint names the link; the upper one reads the
+                // id back from the lower one's finished entries.
+                let id = if m.0 > n {
+                    adj.links.push((NodeId(n), m));
+                    LinkId(adj.links.len() - 1)
+                } else {
+                    adj.link_between(m, NodeId(n))
+                        .expect("adjacency must be symmetric")
+                };
+                adj.neighbor_links.push(id);
             }
         }
-        Adjacency {
-            neighbors,
-            links,
-            link_index,
-        }
+        adj
     }
 
     pub(crate) fn num_links(&self) -> usize {
@@ -58,13 +74,16 @@ impl Adjacency {
         self.links[link.0]
     }
 
+    /// The link joining `a` and `b`; `None` when they are not adjacent or
+    /// either id is out of range.
     pub(crate) fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        self.link_index.get(&key).copied()
+        let range = *self.starts.get(a.0)?..*self.starts.get(a.0.checked_add(1)?)?;
+        let at = self.neighbors[range.clone()].binary_search(&b).ok()?;
+        Some(self.neighbor_links[range.start + at])
     }
 
     pub(crate) fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        &self.neighbors[node.0]
+        &self.neighbors[self.starts[node.0]..self.starts[node.0 + 1]]
     }
 }
 

@@ -134,13 +134,19 @@ impl Topology for GeneralizedHypercube {
     }
 
     fn shortest_paths(&self, src: NodeId, dst: NodeId, cap: usize) -> Vec<Path> {
-        let dims = self.differing_dims(src, dst);
-        let move_counts = vec![1usize; dims.len()];
+        // One move per differing dimension: the digit goes straight to the
+        // destination's.
         let radix = &self.radix;
-        enumerate_interleavings(src, &move_counts, cap, |node, i| {
-            let dim = dims[i];
-            radix.with_digit(node, dim, radix.digit(dst, dim))
-        })
+        let dims = self.differing_dims(src, dst).into_iter();
+        let steps: Vec<Vec<isize>> = dims
+            .map(|d| {
+                let delta = radix.digit(dst, d) as isize - radix.digit(src, d) as isize;
+                vec![delta * radix.weight(d)]
+            })
+            .collect();
+        let mut out = Vec::new();
+        enumerate_interleavings(src, &steps, cap, &mut out);
+        out
     }
 }
 

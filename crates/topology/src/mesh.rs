@@ -120,25 +120,19 @@ impl Topology for Mesh {
 
     fn shortest_paths(&self, src: NodeId, dst: NodeId, cap: usize) -> Vec<Path> {
         let offsets = self.offsets(src, dst);
-        let dims: Vec<(usize, isize)> = offsets
-            .iter()
-            .enumerate()
-            .filter(|(_, &o)| o != 0)
-            .map(|(d, &o)| (d, o.signum()))
-            .collect();
-        if dims.is_empty() {
+        if offsets.iter().all(|&o| o == 0) {
             return vec![Path::trivial(src)];
         }
-        let counts: Vec<usize> = dims
+        // No wraparound: every step of a dimension moves the id by the same
+        // signed weight.
+        let steps: Vec<Vec<isize>> = offsets
             .iter()
-            .map(|&(d, _)| offsets[d].unsigned_abs())
+            .enumerate()
+            .map(|(d, &o)| vec![o.signum() * self.radix.weight(d); o.unsigned_abs()])
             .collect();
-        let radix = &self.radix;
-        enumerate_interleavings(src, &counts, cap, |node, i| {
-            let (dim, step) = dims[i];
-            let d = radix.digit(node, dim) as isize + step;
-            radix.with_digit(node, dim, d as usize)
-        })
+        let mut out = Vec::new();
+        enumerate_interleavings(src, &steps, cap, &mut out);
+        out
     }
 }
 

@@ -79,6 +79,12 @@ impl MixedRadix {
         &self.radices
     }
 
+    /// What one unit of dimension `dim`'s digit adds to a node id (the
+    /// product of the radices below it).
+    pub(crate) fn weight(&self, dim: usize) -> isize {
+        self.weights[dim] as isize
+    }
+
     /// Total number of addresses (`Π radices`).
     pub fn num_nodes(&self) -> usize {
         self.num_nodes

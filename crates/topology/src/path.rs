@@ -76,19 +76,32 @@ impl Path {
     /// Panics if consecutive nodes are not adjacent in `topo`; use
     /// [`Path::validate`] for a non-panicking check.
     pub fn links(&self, topo: &dyn Topology) -> Vec<LinkId> {
-        self.nodes
-            .windows(2)
-            .map(|w| {
-                topo.link_between(w[0], w[1]).unwrap_or_else(|| {
-                    panic!(
-                        "path hop {} -> {} is not a link in {}",
-                        w[0],
-                        w[1],
-                        topo.name()
-                    )
-                })
+        self.links_from(0, topo).collect()
+    }
+
+    /// [`Path::links`] from hop `first` on — for a caller that already
+    /// holds the links of the first `first` hops (a path sharing that prefix
+    /// crosses the same ones).
+    ///
+    /// # Panics
+    ///
+    /// Like [`Path::links`], as the iterator reaches the offending hop; and
+    /// if `first` is beyond the last node.
+    pub fn links_from<'a>(
+        &'a self,
+        first: usize,
+        topo: &'a dyn Topology,
+    ) -> impl Iterator<Item = LinkId> + 'a {
+        self.nodes[first..].windows(2).map(move |w| {
+            topo.link_between(w[0], w[1]).unwrap_or_else(|| {
+                panic!(
+                    "path hop {} -> {} is not a link in {}",
+                    w[0],
+                    w[1],
+                    topo.name()
+                )
             })
-            .collect()
+        })
     }
 
     /// Checks that every consecutive node pair is adjacent in `topo`.
@@ -117,55 +130,58 @@ impl std::fmt::Display for Path {
 ///
 /// Both topology families route by applying, in some order, a fixed multiset
 /// of single-hop "moves" (digit corrections in a GHC, ±1 steps in a torus).
-/// `move_counts[d]` is how many identical moves dimension `d` still needs;
-/// `advance(node, dim)` applies one move of dimension `dim` and returns the
-/// next node. Enumeration is deterministic: dimension order is tried
-/// ascending at every step, so the all-LSD-first path comes out first.
-pub(crate) fn enumerate_interleavings<F>(
+/// The moves of one dimension are always made in the same order, so each is
+/// a fixed change of the node id: `steps[d][k]` is what the `k`-th move of
+/// dimension `d` adds to it, and a route is the source plus a running sum —
+/// no address is decoded while enumerating. Routes are appended to `out`
+/// until it holds `cap` paths. Enumeration is deterministic and depth-first:
+/// dimension order is tried ascending at every step, so the all-LSD-first
+/// path comes out first and consecutive paths share the longest prefix the
+/// order allows.
+pub(crate) fn enumerate_interleavings(
     src: NodeId,
-    move_counts: &[usize],
+    steps: &[Vec<isize>],
     cap: usize,
-    mut advance: F,
-) -> Vec<Path>
-where
-    F: FnMut(NodeId, usize) -> NodeId,
-{
-    let mut out = Vec::new();
-    if cap == 0 {
-        return out;
-    }
-    let mut counts = move_counts.to_vec();
-    let mut prefix = vec![src];
-    recurse(&mut counts, &mut prefix, cap, &mut out, &mut advance);
-    out
+    out: &mut Vec<Path>,
+) {
+    let mut taken = vec![0; steps.len()];
+    let left = steps.iter().map(Vec::len).sum();
+    let mut prefix = Vec::with_capacity(left + 1);
+    prefix.push(src);
+    recurse(steps, &mut taken, left, &mut prefix, cap, out);
 }
 
-fn recurse<F>(
-    counts: &mut [usize],
+/// `node` with its id moved by `by`, one move's fixed offset.
+pub(crate) fn shifted(node: NodeId, by: isize) -> NodeId {
+    let id = node.0.checked_add_signed(by);
+    NodeId(id.expect("a move stays inside the fabric"))
+}
+
+fn recurse(
+    steps: &[Vec<isize>],
+    taken: &mut [usize],
+    left: usize,
     prefix: &mut Vec<NodeId>,
     cap: usize,
     out: &mut Vec<Path>,
-    advance: &mut F,
-) where
-    F: FnMut(NodeId, usize) -> NodeId,
-{
+) {
     if out.len() >= cap {
         return;
     }
-    if counts.iter().all(|&c| c == 0) {
+    if left == 0 {
         out.push(Path::new(prefix.clone()));
         return;
     }
     let here = *prefix.last().expect("prefix is non-empty");
-    for dim in 0..counts.len() {
-        if counts[dim] == 0 {
+    for dim in 0..steps.len() {
+        let Some(&step) = steps[dim].get(taken[dim]) else {
             continue;
-        }
-        counts[dim] -= 1;
-        prefix.push(advance(here, dim));
-        recurse(counts, prefix, cap, out, advance);
+        };
+        taken[dim] += 1;
+        prefix.push(shifted(here, step));
+        recurse(steps, taken, left - 1, prefix, cap, out);
         prefix.pop();
-        counts[dim] += 1;
+        taken[dim] -= 1;
         if out.len() >= cap {
             return;
         }
@@ -203,27 +219,71 @@ mod tests {
     }
 
     #[test]
+    fn links_follow_the_walk_and_validate_rejects_what_is_none() {
+        let t = crate::Torus::new(&[4, 4]).unwrap();
+        let walk = Path::new(vec![NodeId(0), NodeId(1), NodeId(5), NodeId(4)]);
+        assert!(walk.validate(&t));
+        let links = walk.links(&t);
+        let hop = |a, b| t.link_between(NodeId(a), NodeId(b)).unwrap();
+        assert_eq!(links, [hop(0, 1), hop(1, 5), hop(5, 4)]);
+        for first in 0..=3 {
+            assert_eq!(
+                walk.links_from(first, &t).collect::<Vec<_>>(),
+                links[first..]
+            );
+        }
+        // Not adjacent, and a node the fabric does not have: `false`, no panic.
+        assert!(!Path::new(vec![NodeId(0), NodeId(5)]).validate(&t));
+        assert!(!Path::new(vec![NodeId(0), NodeId(16)]).validate(&t));
+        assert!(Path::trivial(NodeId(3)).links(&t).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "path hop N1 -> N6 is not a link in Torus(4,4)")]
+    fn links_panics_at_a_hop_that_is_no_link() {
+        let t = crate::Torus::new(&[4, 4]).unwrap();
+        Path::new(vec![NodeId(0), NodeId(1), NodeId(6)]).links(&t);
+    }
+
+    #[test]
     fn interleavings_multinomial_count() {
         // Two dims with 1 move each -> 2 orders; with (2,1) -> 3 orders.
-        let paths = enumerate_interleavings(NodeId(0), &[1, 1], usize::MAX, |n, d| {
-            NodeId(n.0 + (d + 1) * 10)
-        });
+        let enumerate = |src, steps: &[Vec<isize>], cap| {
+            let mut paths = Vec::new();
+            enumerate_interleavings(NodeId(src), steps, cap, &mut paths);
+            paths
+        };
+        let paths = enumerate(0, &[vec![10], vec![20]], usize::MAX);
         assert_eq!(paths.len(), 2);
-        let paths = enumerate_interleavings(NodeId(0), &[2, 1], usize::MAX, |n, d| {
-            NodeId(n.0 + (d + 1) * 10)
-        });
+        let paths = enumerate(0, &[vec![10, 10], vec![20]], usize::MAX);
         assert_eq!(paths.len(), 3);
+        // Depth first, lowest dimension first; a step may go down.
+        let ids = |p: &Path| p.nodes().iter().map(|n| n.0).collect::<Vec<_>>();
+        assert_eq!(ids(&paths[0]), [0, 10, 20, 40]);
+        assert_eq!(ids(&paths[1]), [0, 10, 30, 40]);
+        assert_eq!(ids(&paths[2]), [0, 20, 30, 40]);
+        let paths = enumerate(7, &[vec![-3], vec![1]], usize::MAX);
+        assert_eq!(ids(&paths[0]), [7, 4, 5]);
     }
 
     #[test]
     fn interleavings_respect_cap() {
-        let paths = enumerate_interleavings(NodeId(0), &[3, 3], 5, |n, d| NodeId(n.0 * 2 + d + 1));
+        let steps = [vec![1; 3], vec![8; 3]];
+        let mut paths = Vec::new();
+        enumerate_interleavings(NodeId(0), &steps, 5, &mut paths);
         assert_eq!(paths.len(), 5);
+        // The cap counts what `out` already holds.
+        enumerate_interleavings(NodeId(0), &steps, 5, &mut paths);
+        assert_eq!(paths.len(), 5);
+        enumerate_interleavings(NodeId(0), &steps, 7, &mut paths);
+        assert_eq!(paths.len(), 7);
+        assert_eq!(paths[5], paths[0]);
     }
 
     #[test]
     fn interleavings_zero_moves_gives_trivial() {
-        let paths = enumerate_interleavings(NodeId(4), &[0, 0], 10, |n, _| n);
+        let mut paths = Vec::new();
+        enumerate_interleavings(NodeId(4), &[vec![], vec![]], 10, &mut paths);
         assert_eq!(paths, vec![Path::trivial(NodeId(4))]);
     }
 }

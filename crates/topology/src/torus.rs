@@ -1,5 +1,5 @@
 use crate::adjacency::Adjacency;
-use crate::path::enumerate_interleavings;
+use crate::path::{enumerate_interleavings, shifted};
 use crate::{MixedRadix, NodeId, Path, Topology, TopologyError};
 
 /// A k-ary n-dimensional **torus** (wraparound mesh).
@@ -70,12 +70,24 @@ impl Torus {
         &self.radix
     }
 
-    /// One unit step from `node` along `dim` in direction `dir` (±1).
-    fn step(&self, node: NodeId, dim: usize, dir: isize) -> NodeId {
-        let k = self.radix.radices()[dim];
-        let d = self.radix.digit(node, dim) as isize;
-        let next = (d + dir).rem_euclid(k as isize) as usize;
-        self.radix.with_digit(node, dim, next)
+    /// What each unit step of `m`, made from `from` on, adds to the node id:
+    /// ±one weight of the dimension, or a jump back across the ring where
+    /// the digit wraps. Decodes the address once, not once per step.
+    fn step_offsets(&self, from: NodeId, m: &Move) -> Vec<isize> {
+        let k = self.radix.radices()[m.dim] as isize;
+        let w = self.radix.weight(m.dim);
+        let mut d = self.radix.digit(from, m.dim) as isize;
+        let offsets = (0..m.count).map(|_| {
+            let next = match d + m.dir {
+                -1 => k - 1,
+                n if n == k => 0,
+                n => n,
+            };
+            let offset = (next - d) * w;
+            d = next;
+            offset
+        });
+        offsets.collect()
     }
 
     /// Per-dimension minimal moves from `a` to `b`.
@@ -148,8 +160,8 @@ impl Topology for Torus {
         let mut nodes = vec![src];
         let mut here = src;
         for m in &moves {
-            for _ in 0..m.count {
-                here = self.step(here, m.dim, m.dir);
+            for offset in self.step_offsets(src, m) {
+                here = shifted(here, offset);
                 nodes.push(here);
             }
         }
@@ -175,12 +187,8 @@ impl Topology for Torus {
                     moves[mi].dir = -moves[mi].dir;
                 }
             }
-            let counts: Vec<usize> = moves.iter().map(|m| m.count).collect();
-            let remaining = cap - out.len();
-            let paths = enumerate_interleavings(src, &counts, remaining, |node, i| {
-                self.step(node, moves[i].dim, moves[i].dir)
-            });
-            out.extend(paths);
+            let steps: Vec<Vec<isize>> = moves.iter().map(|m| self.step_offsets(src, m)).collect();
+            enumerate_interleavings(src, &steps, cap, &mut out);
         }
         out
     }
