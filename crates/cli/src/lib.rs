@@ -1056,12 +1056,14 @@ fn serve_engine(
     sr::serve::Engine::new(topo, serve_cfg)
 }
 
-/// Rebuilds the serve engine from an audit journal's genesis meta line.
+/// Rebuilds the serve engine from an audit journal's genesis meta line,
+/// with the fingerprint function the line names to verify its records.
 /// `topo` and `period` are required; every other knob falls back to its
 /// command-line default (matching a daemon started without that flag).
 fn engine_from_meta(
     meta: &std::collections::BTreeMap<String, String>,
-) -> Result<sr::serve::Engine, Box<dyn Error>> {
+) -> Result<(sr::serve::Engine, sr::serve::Fingerprint), Box<dyn Error>> {
+    let fingerprint = sr::serve::Fingerprint::of_meta(meta).map_err(SpecError::new)?;
     let get = |k: &str| meta.get(k).map(String::as_str);
     let topo = parse_topology(
         get("topo").ok_or_else(|| SpecError::new("audit meta is missing \"topo\""))?,
@@ -1089,25 +1091,27 @@ fn engine_from_meta(
     if let Some(s) = get("cap_scale").and_then(|s| s.parse::<f64>().ok()) {
         config.feedback_scales = vec![s];
     }
-    Ok(serve_engine(
+    let engine = serve_engine(
         topo,
         period,
         Timing::calibrated_dvb(bandwidth),
         config,
         parallelism,
-    ))
+    );
+    Ok((engine, fingerprint))
 }
 
 /// The `serve-replay` subcommand: re-drive a fresh engine from an audit
 /// journal and verify every recorded outcome bit-for-bit — after each op
 /// the ledger is recomputed from the tenant table, compared with the
 /// engine's maintained rows and the journaled hash, and the whole-table
-/// invariants are checked (`apply_record`). A rotated
-/// journal is stitched back together from `<FILE>.1` + `<FILE>`; a torn
-/// final line (crash mid-write) is reported and the intact prefix still
-/// verifies. Any divergence is an error (nonzero exit).
+/// invariants are checked (`apply_record`). Hashes are taken with the
+/// fingerprint function the meta line names, and the report says which. A
+/// rotated journal is stitched back together from `<FILE>.1` + `<FILE>`; a
+/// torn final line (crash mid-write) is reported and the intact prefix
+/// still verifies. Any divergence is an error (nonzero exit).
 fn run_serve_replay(path: &str, out: &mut dyn fmt::Write) -> Result<(), Box<dyn Error>> {
-    use sr::serve::{apply_record, ledger_hash, parse_audit_line, AuditLine, AuditOp};
+    use sr::serve::{apply_record, parse_audit_line, AuditLine, AuditOp, Fingerprint};
     let live = std::fs::read_to_string(path)?;
     let first_is_meta = live
         .lines()
@@ -1124,7 +1128,7 @@ fn run_serve_replay(path: &str, out: &mut dyn fmt::Write) -> Result<(), Box<dyn 
     }
     text.push_str(&live);
 
-    let mut engine: Option<sr::serve::Engine> = None;
+    let mut engine: Option<(sr::serve::Engine, Fingerprint)> = None;
     let (mut admits, mut evicts, mut rejects) = (0u64, 0u64, 0u64);
     let mut tear: Option<(usize, String)> = None;
     let total = text.lines().count();
@@ -1139,13 +1143,13 @@ fn run_serve_replay(path: &str, out: &mut dyn fmt::Write) -> Result<(), Box<dyn 
                 }
             }
             Ok(AuditLine::Record(r)) => {
-                let eng = engine.as_mut().ok_or_else(|| {
+                let (eng, fingerprint) = engine.as_mut().ok_or_else(|| {
                     SpecError::new(
                         "audit journal has records before its meta line (rotated past the \
                          genesis?) — cannot rebuild the engine",
                     )
                 })?;
-                apply_record(eng, &r, &sr::obs::NOOP).map_err(|e| {
+                apply_record(eng, &r, *fingerprint, &sr::obs::NOOP).map_err(|e| {
                     SpecError::new(format!("replay diverged at line {}: {e}", i + 1))
                 })?;
                 match r.op {
@@ -1166,7 +1170,7 @@ fn run_serve_replay(path: &str, out: &mut dyn fmt::Write) -> Result<(), Box<dyn 
             "serve-replay: torn line {lineno} of {total} ({why}); verified the intact prefix"
         )?;
     }
-    let eng =
+    let (eng, fingerprint) =
         engine.ok_or_else(|| SpecError::new(format!("{path} has no audit meta line to replay")))?;
     writeln!(
         out,
@@ -1174,7 +1178,16 @@ fn run_serve_replay(path: &str, out: &mut dyn fmt::Write) -> Result<(), Box<dyn 
          {rejects} rejects); tenants: {}; ledger hash {:016x}",
         admits + evicts + rejects,
         eng.tenants().count(),
-        ledger_hash(&eng)
+        fingerprint.of_spans(eng.maintained_ledger())
+    )?;
+    writeln!(
+        out,
+        "serve-replay: hashes verified with the {} fingerprint{}",
+        fingerprint.label(),
+        match fingerprint {
+            Fingerprint::WholeStream => " (the meta line names none)",
+            Fingerprint::RowSum => ", as the meta line names",
+        }
     )?;
     writeln!(
         out,

@@ -5,11 +5,16 @@
 //! Every admit/evict/reject appends a `{"t":"audit",...}` line (written
 //! through [`sr_obs::JournalWriter`]'s rotation machinery) carrying the
 //! tenant spec, the outcome (rung, scale, rungs tried), the wall-clock
-//! ladder timings, and two FNV-1a fingerprints of the *post-operation*
-//! state: the admitted tenant's own spans and the whole ledger. Replay
+//! ladder timings, and two fingerprints of the *post-operation* state: the
+//! admitted tenant's own spans and the whole ledger. Replay
 //! ([`apply_record`]) feeds the recorded spec back into a fresh
 //! [`Engine`] built from the journal's meta line and checks that the
 //! reconstructed outcome and both fingerprints match bit-for-bit.
+//!
+//! The genesis meta line names the fingerprint function under
+//! [`FINGERPRINT_KEY`] ([`Fingerprint`]); a meta line without the key was
+//! written before the key existed, by builds that hashed the whole span
+//! stream, and is verified with that function.
 //!
 //! Replay deliberately does **not** compare the `replayed`/`memo_hit`
 //! flags: memos are caches, not allocator state, so a fresh engine may
@@ -28,36 +33,107 @@ use sr_obs::json::{parse, Json};
 use sr_obs::{escape_json, json_num, Recorder};
 use sr_topology::LinkId;
 
-/// FNV-1a 64-bit fingerprint of a span table (the ledger, or one tenant's
-/// spans): link indices, span counts, and the exact f64 bit patterns.
-/// Stable across processes — no pointer or ordering nondeterminism
-/// (`BTreeMap` iteration is sorted).
-pub fn spans_hash(spans: &BTreeMap<LinkId, Vec<(f64, f64)>>) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: [u8; 8]| {
-        for b in bytes {
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Continues FNV-1a state `h` over one row: the link index, the row length,
+/// then every span's start and end bits, each word as u64 little-endian.
+fn fnv_row(mut h: u64, link: LinkId, row: &[(f64, f64)]) -> u64 {
+    let mut eat = |word: u64| {
+        for b in word.to_le_bytes() {
             h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
+            h = h.wrapping_mul(FNV_PRIME);
         }
     };
-    for (l, row) in spans {
-        eat((l.index() as u64).to_le_bytes());
-        eat((row.len() as u64).to_le_bytes());
-        for &(s, e) in row {
-            eat(s.to_bits().to_le_bytes());
-            eat(e.to_bits().to_le_bytes());
-        }
+    eat(link.index() as u64);
+    eat(row.len() as u64);
+    for &(s, e) in row {
+        eat(s.to_bits());
+        eat(e.to_bits());
     }
     h
 }
 
-/// The ledger fingerprint: [`spans_hash`] of the maintained ledger, hashed
-/// in place. Whole, not rolling: a journaled hash then depends on the
-/// ledger alone, never on the order of the ops that built it.
+/// The FNV-1a digest of one ledger row, from the offset basis over exactly
+/// the bytes the whole-stream fingerprint hashes for that row.
+pub(crate) fn row_digest(link: LinkId, row: &[(f64, f64)]) -> u64 {
+    fnv_row(FNV_OFFSET, link, row)
+}
+
+/// The fingerprint of a span table (the ledger, or one tenant's spans): the
+/// wrapping sum over rows of each row's FNV-1a digest, so an empty row
+/// contributes nothing. Rows are keyed by link, so the sum is a pure
+/// function of the table — never of the order of the ops that built it —
+/// and the engine keeps its ledger's sum row by row as rows change.
+pub fn spans_hash(spans: &BTreeMap<LinkId, Vec<(f64, f64)>>) -> u64 {
+    spans
+        .iter()
+        .filter(|(_, row)| !row.is_empty())
+        .fold(0, |sum, (&l, row)| sum.wrapping_add(row_digest(l, row)))
+}
+
+/// The fingerprint journals without a [`FINGERPRINT_KEY`] carry: one FNV-1a
+/// stream over every row in link order. Only ever verified, never written.
+fn whole_stream_hash(spans: &BTreeMap<LinkId, Vec<(f64, f64)>>) -> u64 {
+    spans
+        .iter()
+        .fold(FNV_OFFSET, |h, (&l, row)| fnv_row(h, l, row))
+}
+
+/// The ledger fingerprint ([`spans_hash`] of the maintained ledger), kept
+/// by the engine as rows change: O(1).
 pub fn ledger_hash(engine: &Engine) -> u64 {
-    spans_hash(engine.maintained_ledger())
+    engine.kept_fingerprint()
+}
+
+/// The meta key naming a journal's [`Fingerprint`].
+pub const FINGERPRINT_KEY: &str = "fingerprint";
+
+/// The function a journal's `spans_hash` / `ledger_hash` members were taken
+/// with, read from its meta line and never chosen: the daemon writes
+/// [`Fingerprint::RowSum`], and [`Fingerprint::WholeStream`] exists to
+/// verify the journals of builds that predate the key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fingerprint {
+    /// One FNV-1a stream over the whole table: a meta line with no
+    /// [`FINGERPRINT_KEY`].
+    WholeStream,
+    /// [`spans_hash`], the wrapping sum of per-row FNV-1a digests.
+    RowSum,
+}
+
+impl Fingerprint {
+    /// The name a meta line gives this fingerprint (`WholeStream` is never
+    /// written; its name is for messages).
+    pub fn label(self) -> &'static str {
+        match self {
+            Fingerprint::WholeStream => "fnv1a-whole",
+            Fingerprint::RowSum => "fnv1a-row-sum",
+        }
+    }
+
+    /// The fingerprint a journal's genesis meta pairs name.
+    ///
+    /// # Errors
+    ///
+    /// A name this build does not know.
+    pub fn of_meta(meta: &BTreeMap<String, String>) -> Result<Fingerprint, String> {
+        match meta.get(FINGERPRINT_KEY).map(String::as_str) {
+            None => Ok(Fingerprint::WholeStream),
+            Some(name) if name == Fingerprint::RowSum.label() => Ok(Fingerprint::RowSum),
+            Some(other) => Err(format!(
+                "audit meta names the unknown fingerprint \"{other}\""
+            )),
+        }
+    }
+
+    /// This fingerprint of a span table.
+    pub fn of_spans(self, spans: &BTreeMap<LinkId, Vec<(f64, f64)>>) -> u64 {
+        match self {
+            Fingerprint::WholeStream => whole_stream_hash(spans),
+            Fingerprint::RowSum => spans_hash(spans),
+        }
+    }
 }
 
 /// Renders a tenant spec as the audit `"spec"` member.
@@ -268,12 +344,14 @@ fn parse_record(obj: &BTreeMap<String, Json>) -> Result<AuditRecord, String> {
 /// bit-for-bit: admits must land (same rung label, same scale bits, same
 /// tenant-span and ledger fingerprints), evicts must succeed (same ledger
 /// fingerprint), rejects must reject (same rungs tried, same ledger
-/// fingerprint).
+/// fingerprint). Fingerprints are taken with `fingerprint`, the function
+/// the journal's meta line names ([`Fingerprint::of_meta`]).
 ///
 /// The ledger compared is the one *recomputed* from the tenant table
-/// ([`Engine::ledger`]), which must also equal the maintained rows and
-/// pass [`Engine::check_invariants`] — so every audited op tests the
-/// daemon's maintained state against the specification.
+/// ([`Engine::ledger`]), which must also equal the maintained rows, match
+/// the engine's kept fingerprint and pass [`Engine::check_invariants`] — so
+/// every audited op tests the daemon's maintained state against the
+/// specification.
 ///
 /// # Errors
 ///
@@ -282,8 +360,10 @@ fn parse_record(obj: &BTreeMap<String, Json>) -> Result<AuditRecord, String> {
 pub fn apply_record(
     engine: &mut Engine,
     r: &AuditRecord,
+    fingerprint: Fingerprint,
     rec: &dyn Recorder,
 ) -> Result<(), String> {
+    let named = fingerprint.label();
     match r.op {
         AuditOp::Admit => {
             let spec = r.spec.as_ref().ok_or("admit record lost its spec")?;
@@ -304,7 +384,7 @@ pub fn apply_record(
                     r.tenant, r.scale, report.scale
                 ));
             }
-            let spans = spans_hash(
+            let spans = fingerprint.of_spans(
                 &engine
                     .tenant(&r.tenant)
                     .ok_or("admitted tenant vanished")?
@@ -312,7 +392,8 @@ pub fn apply_record(
             );
             if Some(spans) != r.spans_hash {
                 return Err(format!(
-                    "admit \"{}\": tenant spans diverged (journal {:016x?}, replay {spans:016x})",
+                    "admit \"{}\": tenant spans diverged under the {named} fingerprint \
+                     (journal {:016x?}, replay {spans:016x})",
                     r.tenant, r.spans_hash
                 ));
             }
@@ -356,13 +437,20 @@ pub fn apply_record(
             r.op, r.tenant
         ));
     }
+    if ledger_hash(engine) != spans_hash(&recomputed) {
+        return Err(format!(
+            "{:?} \"{}\": kept ledger fingerprint diverged from its recompute",
+            r.op, r.tenant
+        ));
+    }
     engine
         .check_invariants()
         .map_err(|e| format!("{:?} \"{}\": {e}", r.op, r.tenant))?;
-    let ledger = spans_hash(&recomputed);
+    let ledger = fingerprint.of_spans(&recomputed);
     if ledger != r.ledger_hash {
         return Err(format!(
-            "{:?} \"{}\": ledger diverged (journal {:016x}, replay {ledger:016x})",
+            "{:?} \"{}\": ledger diverged under the {named} fingerprint \
+             (journal {:016x}, replay {ledger:016x})",
             r.op, r.tenant, r.ledger_hash
         ));
     }
@@ -392,6 +480,64 @@ mod tests {
         }
     }
 
+    /// Both fingerprints of one hand-built ledger, pinned. The whole-stream
+    /// value and the three row digests were printed by the `spans_hash` of
+    /// the build before the row sum existed (a one-row table's whole-stream
+    /// hash *is* that row's digest), so the row sum here is their sum.
+    #[test]
+    fn fingerprints_of_a_fixed_ledger_are_pinned() {
+        let ledger = BTreeMap::from([
+            (LinkId(3), vec![(0.0, 12.5), (40.0, 52.25)]),
+            (LinkId(17), vec![(5.0, 6.0)]),
+            (
+                LinkId(42),
+                vec![(100.5, 150.0), (200.0, 201.0), (390.0, 400.0)],
+            ),
+        ]);
+        assert_eq!(whole_stream_hash(&ledger), 0x0419_cd46_9399_c4f4);
+        let rows = [
+            0x3728_526e_1822_a9fb_u64,
+            0x855d_48c6_e59c_0f29,
+            0x8eb0_99f8_53fb_bc46,
+        ];
+        for ((&l, row), want) in ledger.iter().zip(rows) {
+            assert_eq!(row_digest(l, row), want, "row {l}");
+        }
+        assert_eq!(spans_hash(&ledger), 0x4b36_352d_51ba_756a);
+        assert_eq!(Fingerprint::RowSum.of_spans(&ledger), 0x4b36_352d_51ba_756a);
+        assert_eq!(
+            Fingerprint::WholeStream.of_spans(&ledger),
+            0x0419_cd46_9399_c4f4
+        );
+        // The empty ledger; an empty row is no row.
+        assert_eq!(whole_stream_hash(&BTreeMap::new()), FNV_OFFSET);
+        assert_eq!(spans_hash(&BTreeMap::new()), 0);
+        let mut with_empty = ledger.clone();
+        with_empty.insert(LinkId(5), Vec::new());
+        assert_eq!(spans_hash(&with_empty), spans_hash(&ledger));
+    }
+
+    #[test]
+    fn the_meta_line_names_the_fingerprint() {
+        let meta = |pairs: &[(&str, &str)]| -> BTreeMap<String, String> {
+            pairs
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect()
+        };
+        assert_eq!(
+            Fingerprint::of_meta(&meta(&[("topo", "torus:4x4")])),
+            Ok(Fingerprint::WholeStream)
+        );
+        assert_eq!(
+            Fingerprint::of_meta(&meta(&[(FINGERPRINT_KEY, "fnv1a-row-sum")])),
+            Ok(Fingerprint::RowSum)
+        );
+        let err = Fingerprint::of_meta(&meta(&[(FINGERPRINT_KEY, "fnv1a-whole")]))
+            .expect_err("the whole-stream function is never named");
+        assert!(err.contains("unknown fingerprint \"fnv1a-whole\""), "{err}");
+    }
+
     #[test]
     fn records_round_trip_and_replay_verifies() {
         let mut eng = engine();
@@ -410,14 +556,23 @@ mod tests {
         eng.evict("b", &NOOP).expect("evicts");
         journal.push(render_evict_record("b", 0.0, ledger_hash(&eng)));
         // Re-drive a fresh engine and verify every record.
-        let mut fresh = engine();
-        for line in &journal {
-            match parse_audit_line(line).expect("parses") {
-                AuditLine::Record(r) => apply_record(&mut fresh, &r, &NOOP).expect("verifies"),
+        let records: Vec<AuditRecord> = journal
+            .iter()
+            .map(|line| match parse_audit_line(line).expect("parses") {
+                AuditLine::Record(r) => r,
                 AuditLine::Meta(_) => panic!("no meta written"),
-            }
+            })
+            .collect();
+        let mut fresh = engine();
+        for r in &records {
+            apply_record(&mut fresh, r, Fingerprint::RowSum, &NOOP).expect("verifies");
         }
         assert_eq!(ledger_hash(&fresh), ledger_hash(&eng));
+        // Verified with the function of a journal that names none, the
+        // same records fail at the first one.
+        let err = apply_record(&mut engine(), &records[0], Fingerprint::WholeStream, &NOOP)
+            .expect_err("another fingerprint");
+        assert!(err.contains("under the fnv1a-whole fingerprint"), "{err}");
     }
 
     #[test]
@@ -437,7 +592,7 @@ mod tests {
             panic!("not a record");
         };
         let mut fresh = engine();
-        let err = apply_record(&mut fresh, &r, &NOOP).expect_err("diverges");
+        let err = apply_record(&mut fresh, &r, Fingerprint::RowSum, &NOOP).expect_err("diverges");
         assert!(err.contains("ledger diverged"), "unexpected error: {err}");
     }
 
@@ -455,7 +610,7 @@ mod tests {
         };
         assert_eq!(r.op, AuditOp::Reject);
         let mut fresh = engine();
-        apply_record(&mut fresh, &r, &NOOP).expect("reject replays as reject");
+        apply_record(&mut fresh, &r, Fingerprint::RowSum, &NOOP).expect("reject replays as reject");
         assert_eq!(ledger_hash(&fresh), ledger_hash(&eng));
     }
 

@@ -23,6 +23,7 @@ use std::sync::Arc;
 
 use crate::audit::{
     ledger_hash, render_admit_record, render_evict_record, render_reject_record, spans_hash,
+    Fingerprint, FINGERPRINT_KEY,
 };
 use crate::engine::{AdmitError, AdmitReport, Engine, EvictError, Rejection, TenantSpec};
 use crate::error::{ErrorKind, ServeError};
@@ -148,8 +149,10 @@ impl Daemon {
 
     /// Attaches the admission audit journal at `path` with the default
     /// 8 MiB rotation budget. `meta` becomes the genesis
-    /// `{"t":"meta","kind":"serve-audit",...}` line — record the engine
-    /// configuration here so `serve-replay` can rebuild the engine.
+    /// `{"t":"meta","kind":"serve-audit","fingerprint":...,...}` line —
+    /// record the engine configuration here so `serve-replay` can rebuild
+    /// the engine; the daemon adds the name of the fingerprint its records
+    /// carry.
     ///
     /// # Errors
     ///
@@ -175,7 +178,10 @@ impl Daemon {
         meta: &[(&str, &str)],
     ) -> io::Result<()> {
         let mut journal = JournalWriter::create(path, max_bytes)?;
-        let mut pairs = vec![("kind", "serve-audit")];
+        let mut pairs = vec![
+            ("kind", "serve-audit"),
+            (FINGERPRINT_KEY, Fingerprint::RowSum.label()),
+        ];
         pairs.extend_from_slice(meta);
         journal.meta(&pairs)?;
         journal.flush()?;
@@ -413,10 +419,13 @@ impl Daemon {
                 }
                 FrameRead::Frame(payload) => {
                     let (resp, shutdown) = self.handle_frame(&payload);
-                    write_frame(writer, &resp)?;
+                    let written = write_frame(writer, &resp);
+                    // The listeners are already stopped: a shutdown holds
+                    // even when its reply cannot be delivered.
                     if shutdown {
                         return Ok(true);
                     }
+                    written?;
                 }
             }
         }
@@ -439,31 +448,37 @@ impl Daemon {
 
     /// Binds a Unix socket and serves connections sequentially until one
     /// of them requests shutdown. A stale socket file at `path` is
-    /// replaced.
+    /// replaced. A transport error on a connection — a client that drops
+    /// mid-frame, resets, or closes before reading its reply — ends that
+    /// connection only and counts in `serve.transport_errors`.
     ///
     /// # Errors
     ///
-    /// Propagates bind/accept/transport I/O errors.
+    /// Propagates bind/accept I/O errors.
     #[cfg(unix)]
     pub fn serve_unix(&mut self, path: &std::path::Path) -> io::Result<()> {
         let _ = std::fs::remove_file(path);
         let listener = std::os::unix::net::UnixListener::bind(path)?;
         loop {
-            let (stream, _) = listener.accept()?;
-            let mut reader = io::BufReader::new(stream.try_clone()?);
-            let mut writer = io::BufWriter::new(stream);
-            let shutdown = match self.serve_stream(&mut reader, &mut writer) {
-                Ok(s) => s,
-                // A client dropping mid-frame must not kill the daemon.
-                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => false,
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
                 Err(e) => {
                     let _ = std::fs::remove_file(path);
                     return Err(e);
                 }
             };
-            if shutdown {
-                let _ = std::fs::remove_file(path);
-                return Ok(());
+            let served = stream.try_clone().and_then(|read_half| {
+                let mut reader = io::BufReader::new(read_half);
+                let mut writer = io::BufWriter::new(stream);
+                self.serve_stream(&mut reader, &mut writer)
+            });
+            match served {
+                Ok(true) => {
+                    let _ = std::fs::remove_file(path);
+                    return Ok(());
+                }
+                Ok(false) => {}
+                Err(_) => self.rec.add("serve.transport_errors", 1),
             }
         }
     }
@@ -663,12 +678,20 @@ mod tests {
             lines[0]
         );
         assert!(lines[0].contains("\"topo\":\"torus:4x4\""), "{}", lines[0]);
+        let crate::audit::AuditLine::Meta(meta) =
+            crate::audit::parse_audit_line(lines[0]).expect("parses")
+        else {
+            panic!("the genesis line is meta: {}", lines[0]);
+        };
+        let fingerprint = Fingerprint::of_meta(&meta).expect("a known fingerprint");
+        assert_eq!(fingerprint, Fingerprint::RowSum);
         // Re-drive a fresh engine from the records and verify each one.
         let mut fresh = daemon();
         for line in &lines[1..] {
             match crate::audit::parse_audit_line(line).expect("parses") {
                 crate::audit::AuditLine::Record(r) => {
-                    crate::audit::apply_record(&mut fresh.engine, &r, &NOOP).expect("verifies");
+                    crate::audit::apply_record(&mut fresh.engine, &r, fingerprint, &NOOP)
+                        .expect("verifies");
                 }
                 other => panic!("expected record, got {other:?}"),
             }
@@ -678,6 +701,102 @@ mod tests {
             crate::audit::ledger_hash(&d.engine)
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A daemon serving `serve_unix` at a fresh socket path on its own
+    /// thread.
+    #[cfg(unix)]
+    struct UnixDaemon {
+        path: std::path::PathBuf,
+        done: std::sync::mpsc::Receiver<io::Result<u64>>,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    #[cfg(unix)]
+    impl UnixDaemon {
+        fn start(name: &str) -> UnixDaemon {
+            let path =
+                std::env::temp_dir().join(format!("sr_serve_{name}_{}.sock", std::process::id()));
+            let _ = std::fs::remove_file(&path);
+            let (tx, done) = std::sync::mpsc::channel();
+            let serving = path.clone();
+            let thread = std::thread::spawn(move || {
+                let mut d = daemon();
+                let served = d.serve_unix(&serving);
+                let _ = tx.send(served.map(|()| d.recorder().counter("serve.transport_errors")));
+            });
+            UnixDaemon { path, done, thread }
+        }
+
+        fn connect(&self) -> std::os::unix::net::UnixStream {
+            for _ in 0..5000 {
+                if let Ok(s) = std::os::unix::net::UnixStream::connect(&self.path) {
+                    return s;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            panic!("the daemon never listened on {}", self.path.display());
+        }
+
+        /// Sends `request` on a connection the daemon reads only after the
+        /// sender has closed it, so the reply meets a closed peer
+        /// (`BrokenPipe`): connections are served one at a time, in order,
+        /// and `holder` occupies the daemon until both are gone.
+        fn send_and_hang_up(&self, request: &str) {
+            let holder = self.connect();
+            let mut quitter = self.connect();
+            quitter.write_all(&frame(request)).expect("sends");
+            drop(quitter);
+            drop(holder);
+        }
+
+        /// Waits for `serve_unix` to return — failing rather than hanging
+        /// when it does not — and gives its `serve.transport_errors` count.
+        fn stopped(self) -> u64 {
+            let served = self
+                .done
+                .recv_timeout(std::time::Duration::from_secs(20))
+                .expect("the daemon stops");
+            self.thread.join().expect("no panic");
+            assert!(!self.path.exists(), "shutdown removes the socket file");
+            served.expect("serve_unix returns Ok at shutdown")
+        }
+    }
+
+    /// A client that sends a frame and closes before reading the reply
+    /// makes the daemon's write fail with `BrokenPipe`. That ends the
+    /// connection, not the daemon: the next client gets its answer and
+    /// shuts the daemon down, over a real Unix socket.
+    #[cfg(unix)]
+    #[test]
+    fn a_broken_pipe_ends_its_connection_not_the_daemon() {
+        let server = UnixDaemon::start("pipe");
+        server.send_and_hang_up(r#"{"op":"list"}"#);
+        let mut client = server.connect();
+        let mut ask = |request: &str| {
+            client.write_all(&frame(request)).expect("sends");
+            match read_frame(&mut client).expect("reads") {
+                FrameRead::Frame(p) => String::from_utf8(p).expect("UTF-8"),
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        let listed = ask(r#"{"op":"list"}"#);
+        assert!(listed.starts_with("{\"ok\":true"), "{listed}");
+        assert_eq!(
+            ask(r#"{"op":"shutdown"}"#),
+            "{\"ok\":true,\"op\":\"shutdown\"}"
+        );
+        assert_eq!(server.stopped(), 1, "the broken pipe is counted once");
+    }
+
+    /// A shutdown whose reply cannot be delivered still shuts the daemon
+    /// down: its listeners are stopped before the reply is written.
+    #[cfg(unix)]
+    #[test]
+    fn a_shutdown_holds_when_its_reply_cannot_be_delivered() {
+        let server = UnixDaemon::start("hangup");
+        server.send_and_hang_up(r#"{"op":"shutdown"}"#);
+        assert_eq!(server.stopped(), 0);
     }
 
     #[test]

@@ -53,7 +53,9 @@
 //! original admission exactly when the ledger is unchanged.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
+use crate::audit::{row_digest, spans_hash};
 use sr_core::{
     assign_paths_partial, compile_diagnosed, free_within, intersect, reallocate_pinned,
     AllocBasisCache, CompileConfig, FlowWorkspace, Schedule, EPS,
@@ -180,8 +182,10 @@ pub struct Tenant {
     pub tfg: TaskFlowGraph,
     /// Task placement, node per task.
     pub placement: Vec<NodeId>,
-    /// The tenant's real-time schedule (`None` for best-effort tenants).
-    pub schedule: Option<Schedule>,
+    /// The tenant's real-time schedule (`None` for best-effort tenants),
+    /// shared with the memo it came from: a schedule is never mutated once
+    /// built, so sharing it is the same as copying it.
+    pub schedule: Option<Arc<Schedule>>,
     /// Best-effort grants (empty for real-time tenants).
     pub grants: Vec<Grant>,
     /// This tenant's link-time occupancy: sorted, coalesced spans per link.
@@ -302,24 +306,63 @@ impl LadderTimer {
 }
 
 /// A memoized admission result, replayed verbatim when the same spec is
-/// admitted against a bit-identical ledger.
+/// admitted against a bit-identical ledger. `fingerprint` is the ledger's
+/// fingerprint at the time, a fast reject only: a replay is granted on
+/// `ledger` equality, never on the hash.
 #[derive(Debug, Clone)]
 struct LastResult {
-    ledger: Spans,
+    ledger: FrozenLedger,
+    fingerprint: u64,
     tenant: Tenant,
     rung: AdmitRung,
     scale: f64,
 }
 
+/// A copy of the ledger as two flat arrays — each row's link and length,
+/// then every span in link order — so that taking one costs two
+/// allocations rather than one per row.
+#[derive(Debug, Clone)]
+struct FrozenLedger {
+    rows: Vec<(LinkId, usize)>,
+    spans: Vec<(f64, f64)>,
+}
+
+impl FrozenLedger {
+    fn of(ledger: &Spans) -> FrozenLedger {
+        let mut frozen = FrozenLedger {
+            rows: Vec::with_capacity(ledger.len()),
+            spans: Vec::with_capacity(ledger.values().map(Vec::len).sum()),
+        };
+        for (&l, row) in ledger {
+            frozen.rows.push((l, row.len()));
+            frozen.spans.extend_from_slice(row);
+        }
+        frozen
+    }
+
+    /// Whether `ledger` holds exactly these rows: the verdict of `==`
+    /// between the ledger this was taken from and `ledger`.
+    fn equals(&self, ledger: &Spans) -> bool {
+        let mut at = 0;
+        self.rows.len() == ledger.len()
+            && self.rows.iter().zip(ledger).all(|(&(l, len), (&k, row))| {
+                let mine = &self.spans[at..at + len];
+                at += len;
+                l == k && mine == row.as_slice()
+            })
+    }
+}
+
 /// Per-tenant memo: the standalone compile, warm simplex bases, and the
 /// last admission result. Survives eviction (it is a cache, not allocator
-/// state).
+/// state). It is keyed by the spec's TFG text and its placement, node for
+/// node.
 #[derive(Debug)]
 struct MemoEntry {
-    fingerprint: String,
+    tfg_text: String,
     tfg: TaskFlowGraph,
     placement: Vec<NodeId>,
-    schedule: Option<Schedule>,
+    schedule: Option<Arc<Schedule>>,
     diagnosis: Option<String>,
     cache: AllocBasisCache,
     /// Flow-kernel workspace, the [`cache`](MemoEntry::cache) mirror for
@@ -330,6 +373,14 @@ struct MemoEntry {
     age: u64,
 }
 
+impl MemoEntry {
+    /// Whether this entry memoizes `tfg_text` placed on `nodes`, node for
+    /// node.
+    fn holds(&self, tfg_text: &str, nodes: impl IntoIterator<Item = usize>) -> bool {
+        self.tfg_text == tfg_text && self.placement.iter().map(|n| n.0).eq(nodes)
+    }
+}
+
 /// The resident admission engine. See the module docs for the model.
 pub struct Engine {
     topo: Box<dyn Topology>,
@@ -337,6 +388,8 @@ pub struct Engine {
     tenants: BTreeMap<String, Tenant>,
     /// The maintained ledger: `== self.ledger()` after every mutation.
     live: Spans,
+    /// `spans_hash(&self.live)`, kept row by row as rows change.
+    fingerprint: u64,
     memo: BTreeMap<String, MemoEntry>,
     admit_seq: u64,
     memo_clock: u64,
@@ -350,6 +403,7 @@ impl Engine {
             cfg,
             tenants: BTreeMap::new(),
             live: Spans::new(),
+            fingerprint: spans_hash(&Spans::new()),
             memo: BTreeMap::new(),
             admit_seq: 0,
             memo_clock: 0,
@@ -401,10 +455,43 @@ impl Engine {
         &self.live
     }
 
-    /// Debug builds hold the maintained rows to the specification after
-    /// every mutation; release builds leave that to `serve-replay`.
+    /// The maintained ledger's fingerprint, kept as rows change (read it
+    /// through [`crate::audit::ledger_hash`]).
+    pub(crate) fn kept_fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// Replaces the maintained row of `link` with what `edit` leaves of it,
+    /// keeping the fingerprint: the row's old digest leaves the sum, its new
+    /// one joins it, and a row left empty is dropped and contributes
+    /// nothing.
+    fn edit_row(&mut self, link: LinkId, edit: impl FnOnce(&mut Vec<(f64, f64)>)) {
+        let row = self.live.entry(link).or_default();
+        let old = if row.is_empty() {
+            0
+        } else {
+            row_digest(link, row)
+        };
+        edit(row);
+        let new = if row.is_empty() {
+            self.live.remove(&link);
+            0
+        } else {
+            row_digest(link, row)
+        };
+        self.fingerprint = self.fingerprint.wrapping_sub(old).wrapping_add(new);
+    }
+
+    /// Debug builds hold the maintained rows and their kept fingerprint to
+    /// the specification after every mutation; release builds leave that
+    /// to `serve-replay`.
     fn debug_check(&self) {
         debug_assert_eq!(self.live, self.ledger(), "maintained ledger diverged");
+        debug_assert_eq!(
+            self.fingerprint,
+            spans_hash(&self.ledger()),
+            "kept fingerprint diverged"
+        );
         debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
@@ -489,10 +576,11 @@ impl Engine {
 
         // Replay: identical spec against a bit-identical ledger reproduces
         // the previous admission exactly (the evict-then-readmit
-        // determinism guarantee).
+        // determinism guarantee). The kept fingerprint rejects a changed
+        // ledger in O(1); only the rows themselves grant a replay.
         let entry = self.memo.get(&spec.name).expect("memoized above");
         if let Some(last) = &entry.last {
-            if last.ledger == *ledger {
+            if last.fingerprint == self.fingerprint && last.ledger.equals(ledger) {
                 rec.add("serve.admit.replayed", 1);
                 let mut tenant = last.tenant.clone();
                 let (rung, scale) = (last.rung, last.scale);
@@ -560,7 +648,7 @@ impl Engine {
                     seq: self.admit_seq,
                     tfg: entry.tfg.clone(),
                     placement: entry.placement.clone(),
-                    schedule: Some(patched),
+                    schedule: Some(Arc::new(patched)),
                     grants: Vec::new(),
                     spans,
                     rung: AdmitRung::Adapted,
@@ -581,7 +669,7 @@ impl Engine {
                     seq: self.admit_seq,
                     tfg: entry.tfg.clone(),
                     placement: entry.placement.clone(),
-                    schedule: Some(rerouted),
+                    schedule: Some(Arc::new(rerouted)),
                     grants: Vec::new(),
                     spans,
                     rung: AdmitRung::Rerouted,
@@ -654,41 +742,34 @@ impl Engine {
         rec.add("serve.batch.tenants", specs.len() as u64);
         // Precompile memo misses in parallel. Duplicate names within the
         // batch are resolved by the serial pass below.
-        let mut misses: Vec<(String, TaskFlowGraph, Allocation, String)> = Vec::new();
+        let mut misses: Vec<(&TenantSpec, TaskFlowGraph, Allocation)> = Vec::new();
         let mut seen: BTreeSet<String> = BTreeSet::new();
         for spec in specs {
             if !seen.insert(spec.name.clone()) || self.tenants.contains_key(&spec.name) {
                 continue;
             }
-            let Ok((tfg, alloc, fingerprint)) = self.parse_spec(spec) else {
-                continue; // the serial pass reports the error
-            };
-            let fresh = self
-                .memo
-                .get(&spec.name)
-                .is_none_or(|e| e.fingerprint != fingerprint);
-            if fresh {
-                misses.push((spec.name.clone(), tfg, alloc, fingerprint));
+            // A spec that does not parse is reported by the serial pass.
+            if let Ok(Some((tfg, alloc))) = self.memo_miss(spec) {
+                misses.push((spec, tfg, alloc));
             }
         }
         let topo = self.topo.as_ref();
         let cfg = &self.cfg;
-        let compiled = sr_par::par_map(&misses, cfg.batch_threads, |(_, tfg, alloc, _)| {
+        let compiled = sr_par::par_map(&misses, cfg.batch_threads, |(_, tfg, alloc)| {
             let (result, diag) =
                 compile_diagnosed(topo, tfg, alloc, &cfg.timing, cfg.period, &cfg.compile, rec);
             match result {
-                Ok(s) => (Some(s), None),
+                Ok(s) => (Some(Arc::new(s)), None),
                 Err(_) => (None, Some(diag.render_text(topo, tfg))),
             }
         });
         let clock = self.memo_clock;
-        for (i, (name, tfg, alloc, fingerprint)) in misses.into_iter().enumerate() {
-            let (schedule, diagnosis) = compiled[i].clone();
+        for ((spec, tfg, alloc), (schedule, diagnosis)) in misses.into_iter().zip(compiled) {
             let placement = alloc.placement().to_vec();
             self.memo.insert(
-                name,
+                spec.name.clone(),
                 MemoEntry {
-                    fingerprint,
+                    tfg_text: spec.tfg_text.clone(),
                     tfg,
                     placement,
                     schedule,
@@ -735,13 +816,11 @@ impl Engine {
         }
         let mut moved = 0;
         for (l, at) in &departing {
-            let row = self.live.get_mut(l).expect("located above");
-            for &i in at.iter().rev() {
-                row.remove(i);
-            }
-            if row.is_empty() {
-                self.live.remove(l);
-            }
+            self.edit_row(*l, |row| {
+                for &i in at.iter().rev() {
+                    row.remove(i);
+                }
+            });
             moved += at.len();
         }
         self.tenants.remove(name);
@@ -788,24 +867,46 @@ impl Engine {
                 }
             }
         }
+        // Sweep by start, keeping the latest end seen and its owner plus the
+        // latest end of any *other* owner: each span is held to the latest
+        // end of an owner not its own. Comparing start-order neighbours
+        // instead would let a tenant whose own spans overlap hide a third
+        // tenant's clash behind them.
         for (l, spans) in per_link.iter_mut() {
             spans.sort_by(|a, b| a.0.total_cmp(&b.0));
-            for w in spans.windows(2) {
-                let (_, e0, n0) = w[0];
-                let (s1, _, n1) = w[1];
-                if n0 != n1 && s1 < e0 - EPS {
+            // (end, owner): the latest end, and the latest of another owner.
+            let mut latest: Option<(f64, &str)> = None;
+            let mut other: Option<(f64, &str)> = None;
+            for &(s1, e1, n1) in spans.iter() {
+                let rival = if latest.is_some_and(|(_, n)| n == n1) {
+                    other
+                } else {
+                    latest
+                };
+                if let Some((e0, n0)) = rival.filter(|&(e0, _)| s1 < e0 - EPS) {
                     return Err(format!(
                         "tenants \"{n0}\" and \"{n1}\" overlap on link {l} ({s1:.3} < {e0:.3})"
                     ));
+                }
+                match latest {
+                    Some((e, n)) if n == n1 => latest = Some((e.max(e1), n)),
+                    Some((e, _)) if e1 <= e => {
+                        if other.is_none_or(|(o, _)| e1 > o) {
+                            other = Some((e1, n1));
+                        }
+                    }
+                    _ => {
+                        other = latest;
+                        latest = Some((e1, n1));
+                    }
                 }
             }
         }
         Ok(())
     }
 
-    /// Parses and places a spec (no compile). Returns the TFG, the
-    /// placement, and the memo fingerprint.
-    fn parse_spec(&self, spec: &TenantSpec) -> Result<(TaskFlowGraph, Allocation, String), String> {
+    /// Parses and places a spec (no compile).
+    fn parse_spec(&self, spec: &TenantSpec) -> Result<(TaskFlowGraph, Allocation), String> {
         let tfg = from_text(&spec.tfg_text).map_err(|e| format!("tfg: {e}"))?;
         let alloc = match &spec.placement {
             Placement::Nodes(nodes) => {
@@ -828,23 +929,36 @@ impl Engine {
                 },
             },
         };
-        let placement_desc: Vec<String> =
-            alloc.placement().iter().map(|n| n.0.to_string()).collect();
-        let fingerprint = format!("{}\u{0}{}", spec.tfg_text, placement_desc.join(","));
-        Ok((tfg, alloc, fingerprint))
+        Ok((tfg, alloc))
+    }
+
+    /// `None` when the memo holds this spec's standalone compile, the
+    /// parsed spec when it does not. A spec placed by node list is compared
+    /// as given — an entry exists only for a spec that parsed and placed,
+    /// so a hit needs no parse; a strategy has to be parsed and run to know
+    /// its nodes.
+    fn memo_miss(&self, spec: &TenantSpec) -> Result<Option<(TaskFlowGraph, Allocation)>, String> {
+        let entry = self.memo.get(&spec.name);
+        if let Placement::Nodes(nodes) = &spec.placement {
+            if entry.is_some_and(|e| e.holds(&spec.tfg_text, nodes.iter().copied())) {
+                return Ok(None);
+            }
+        }
+        let (tfg, alloc) = self.parse_spec(spec)?;
+        let placed = alloc.placement().iter().map(|n| n.0);
+        let held = entry.is_some_and(|e| e.holds(&spec.tfg_text, placed));
+        Ok((!held).then_some((tfg, alloc)))
     }
 
     /// Ensures the per-tenant memo holds this spec's standalone compile.
     /// Returns whether it was already there (memo hit).
     fn memoize(&mut self, spec: &TenantSpec, rec: &dyn Recorder) -> Result<bool, AdmitError> {
-        let (tfg, alloc, fingerprint) = self.parse_spec(spec).map_err(AdmitError::InvalidSpec)?;
+        let miss = self.memo_miss(spec).map_err(AdmitError::InvalidSpec)?;
         self.memo_clock += 1;
-        if let Some(entry) = self.memo.get_mut(&spec.name) {
-            if entry.fingerprint == fingerprint {
-                entry.age = self.memo_clock;
-                return Ok(true);
-            }
-        }
+        let Some((tfg, alloc)) = miss else {
+            self.memo.get_mut(&spec.name).expect("held above").age = self.memo_clock;
+            return Ok(true);
+        };
         let _span = span_with(rec, "serve.compile_standalone", || spec.name.clone());
         let (result, diag) = compile_diagnosed(
             self.topo.as_ref(),
@@ -856,14 +970,14 @@ impl Engine {
             rec,
         );
         let (schedule, diagnosis) = match result {
-            Ok(s) => (Some(s), None),
+            Ok(s) => (Some(Arc::new(s)), None),
             Err(_) => (None, Some(diag.render_text(self.topo.as_ref(), &tfg))),
         };
         let placement = alloc.placement().to_vec();
         self.memo.insert(
             spec.name.clone(),
             MemoEntry {
-                fingerprint,
+                tfg_text: spec.tfg_text.clone(),
                 tfg,
                 placement,
                 schedule,
@@ -908,6 +1022,14 @@ impl Engine {
     /// empty table satisfies [`Engine::check_invariants`] and eviction only
     /// removes, so by induction this refuses exactly what the whole-table
     /// check would refuse after the insert.
+    ///
+    /// That argument is unchanged by the whole-table check holding each
+    /// span to the latest end of any other owner rather than to its
+    /// start-order neighbour: the two differ only on a tenant whose own
+    /// spans on a link overlap, and every tenant the engine installs has
+    /// coalesced rows (`spans_of_schedule` and the best-effort rung both
+    /// coalesce), so every maintained row stays sorted with each span
+    /// clearing the next.
     fn check_arrival(&self, tenant: &Tenant) -> Result<(), String> {
         if let Some(s) = &tenant.schedule {
             if spans_of_schedule(s) != tenant.spans {
@@ -991,7 +1113,8 @@ impl Engine {
         if !replayed {
             if let Some(entry) = self.memo.get_mut(&tenant.name) {
                 entry.last = Some(LastResult {
-                    ledger: self.live.clone(),
+                    ledger: FrozenLedger::of(&self.live),
+                    fingerprint: self.fingerprint,
                     tenant: tenant.clone(),
                     rung,
                     scale,
@@ -1000,9 +1123,10 @@ impl Engine {
         }
         let mut moved = 0;
         for (&l, spans) in &tenant.spans {
-            let row = self.live.entry(l).or_default();
-            row.extend_from_slice(spans);
-            row.sort_by(cmp_span);
+            self.edit_row(l, |row| {
+                row.extend_from_slice(spans);
+                row.sort_by(cmp_span);
+            });
             moved += spans.len();
         }
         rec.add("serve.ledger.spans_moved", moved as u64);
@@ -1324,6 +1448,27 @@ mod tests {
                 fits(&spans, &ledger, guard),
                 fits_by_scan(&spans, &ledger, guard)
             );
+        }
+
+        /// A frozen ledger equals exactly what the ledger it was taken from
+        /// equals, over small tables that often differ by one link, one row
+        /// length or one span.
+        #[test]
+        fn a_frozen_ledger_equals_what_its_original_equals(
+            a in prop::collection::vec((0usize..3, prop::collection::vec((0i32..3, 0i32..3), 0..3)), 0..3),
+            b in prop::collection::vec((0usize..3, prop::collection::vec((0i32..3, 0i32..3), 0..3)), 0..3),
+        ) {
+            let table = |rows: Vec<(usize, Vec<(i32, i32)>)>| -> Spans {
+                rows.into_iter()
+                    .map(|(l, row)| {
+                        let row = row.into_iter().map(|(s, e)| (f64::from(s), f64::from(e)));
+                        (LinkId(l), row.collect())
+                    })
+                    .collect()
+            };
+            let (a, b) = (table(a), table(b));
+            prop_assert!(FrozenLedger::of(&a).equals(&a));
+            prop_assert_eq!(FrozenLedger::of(&a).equals(&b), a == b);
         }
     }
 
@@ -1695,6 +1840,126 @@ mod tests {
         eng.live = clean;
         eng.evict("t1", &NOOP).expect("evicts");
         assert_eq!(eng.live, eng.ledger());
+    }
+
+    /// The kept fingerprint equals the recompute's after an install into a
+    /// row another tenant holds, an eviction that leaves that row to the
+    /// other tenant, and evictions that empty rows.
+    #[test]
+    fn kept_fingerprint_follows_install_and_evict() {
+        let mut eng = engine();
+        let agrees = |eng: &Engine| {
+            assert_eq!(eng.kept_fingerprint(), spans_hash(&eng.ledger()));
+        };
+        agrees(&eng);
+        eng.admit(&chain_spec("t1", &[0, 1, 2]), &NOOP).expect("t1");
+        agrees(&eng);
+        eng.admit(&chain_spec("t2", &[0, 1, 2]), &NOOP).expect("t2");
+        agrees(&eng);
+        let shared = |eng: &Engine| {
+            let t2 = eng.tenant("t2").unwrap();
+            eng.live
+                .iter()
+                .any(|(l, row)| row.len() > t2.spans.get(l).map_or(0, Vec::len))
+        };
+        assert!(shared(&eng), "t2 was installed into rows t1 holds");
+        eng.evict("t1", &NOOP).expect("evicts t1");
+        agrees(&eng);
+        assert!(!eng.live.is_empty(), "t2's rows stay");
+        eng.evict("t2", &NOOP).expect("evicts t2");
+        agrees(&eng);
+        assert_eq!(eng.kept_fingerprint(), 0);
+    }
+
+    /// A spec placed by node list hits the memo only with the very nodes
+    /// it was stored under; a prefix either way is a different spec (here
+    /// one that does not place).
+    #[test]
+    fn memo_hit_needs_the_whole_node_list() {
+        let mut eng = engine();
+        eng.admit(&chain_spec("t", &[0, 1, 2]), &NOOP).expect("t");
+        eng.evict("t", &NOOP).expect("evicts");
+        for nodes in [&[0, 1][..], &[0, 1, 2, 3]] {
+            let rec = sr_obs::MetricsRecorder::new();
+            assert!(matches!(
+                eng.admit(&chain_spec("t", nodes), &rec),
+                Err(AdmitError::InvalidSpec(_))
+            ));
+            assert_eq!(rec.counter("serve.admit.memo_hits"), 0, "{nodes:?}");
+        }
+        let rec = sr_obs::MetricsRecorder::new();
+        let report = eng.admit(&chain_spec("t", &[0, 1, 2]), &rec).expect("t");
+        assert!(report.memo_hit && report.replayed);
+        assert_eq!(rec.counter("serve.admit.memo_hits"), 1);
+    }
+
+    /// A tenant with spans on link 0 only and no schedule to answer to.
+    fn on_link(base: &Tenant, name: &str, spans: &[(f64, f64)]) -> Tenant {
+        Tenant {
+            name: name.to_string(),
+            schedule: None,
+            spans: Spans::from([(LinkId(0), spans.to_vec())]),
+            ..base.clone()
+        }
+    }
+
+    /// Tenant `a`'s own spans overlap; `b` clashes with the longer of them
+    /// but not with its start-order neighbour, which a neighbours-only
+    /// sweep would compare it with (and pass).
+    #[test]
+    fn a_tenant_overlapping_itself_cannot_hide_a_clash() {
+        let mut eng = engine();
+        eng.admit(&chain_spec("base", &[0, 1, 2]), &NOOP)
+            .expect("admits");
+        let base = eng.tenant("base").unwrap().clone();
+        eng.evict("base", &NOOP).expect("evicts");
+        for t in [
+            on_link(&base, "a", &[(0.0, 10.0), (1.0, 2.0)]),
+            on_link(&base, "b", &[(5.0, 6.0)]),
+        ] {
+            eng.tenants.insert(t.name.clone(), t);
+        }
+        let err = eng.check_invariants().expect_err("b clashes with a");
+        assert!(err.contains("\"a\" and \"b\" overlap on link"), "{err}");
+        // Past a's latest end there is nothing to clash with, and a's own
+        // overlap is none of the whole-table check's business.
+        let clear = on_link(&base, "b", &[(10.0, 11.0)]);
+        eng.tenants.insert("b".into(), clear);
+        assert_eq!(eng.check_invariants(), Ok(()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The sweep's verdict equals the all-pairs one: in start order
+        /// (ties in table order), no span starts more than `EPS` before the
+        /// end of an earlier span of another tenant.
+        #[test]
+        fn the_overlap_sweep_agrees_with_all_pairs(
+            spans in prop::collection::vec((0usize..3, 0i32..24, 0i32..8), 1..10),
+        ) {
+            let mut eng = engine();
+            eng.admit(&chain_spec("base", &[0, 1, 2]), &NOOP).expect("admits");
+            let base = eng.tenant("base").unwrap().clone();
+            eng.evict("base", &NOOP).expect("evicts");
+            let unit = EPS / 2.0;
+            let mut rows: BTreeMap<usize, Vec<(f64, f64)>> = BTreeMap::new();
+            for &(owner, start, len) in &spans {
+                let s = f64::from(start) * unit;
+                rows.entry(owner).or_default().push((s, s + f64::from(len) * unit));
+            }
+            let mut all: Vec<(f64, f64, usize)> = Vec::new();
+            for (&owner, row) in &rows {
+                let name = format!("o{owner}");
+                eng.tenants.insert(name.clone(), on_link(&base, &name, row));
+                all.extend(row.iter().map(|&(s, e)| (s, e, owner)));
+            }
+            all.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let clash = (0..all.len()).any(|j| {
+                (0..j).any(|i| all[i].2 != all[j].2 && all[j].0 < all[i].1 - EPS)
+            });
+            prop_assert_eq!(eng.check_invariants().is_err(), clash);
+        }
     }
 
     #[test]

@@ -50,6 +50,7 @@ pub mod protocol;
 
 pub use audit::{
     apply_record, ledger_hash, parse_audit_line, spans_hash, AuditLine, AuditOp, AuditRecord,
+    Fingerprint, FINGERPRINT_KEY,
 };
 pub use daemon::{read_frame, write_frame, Daemon, FrameRead, MAX_FRAME};
 pub use engine::{

@@ -3,8 +3,9 @@
 //! admitted tenant's schedule stays bit-identical to its standalone
 //! compile, eviction restores the ledger exactly, and evict-then-readmit
 //! reproduces the original admission byte for byte. A second property
-//! holds the engine's *maintained* state — ledger rows, ledger hash, the
-//! published `/tenants` items — to its from-scratch specification after
+//! holds the engine's *maintained* state — ledger rows, the ledger
+//! fingerprint kept row by row, the published `/tenants` items — to its
+//! from-scratch specification after
 //! every op of interleavings that also contend, reject and batch; CI runs
 //! it in release too, where the engine's own debug assertions are off.
 
@@ -51,7 +52,8 @@ fn standalone(i: usize) -> sr::core::Schedule {
     eng.tenant(&format!("t{i}"))
         .expect("tenant present")
         .schedule
-        .clone()
+        .as_deref()
+        .cloned()
         .expect("real-time schedule")
 }
 
@@ -142,6 +144,8 @@ proptest! {
             let recomputed = eng.ledger();
             prop_assert_eq!(eng.maintained_ledger(), &recomputed);
             prop_assert_eq!(eng.check_invariants(), Ok(()));
+            // The fingerprint the engine keeps row by row, against the
+            // recompute's taken from scratch.
             prop_assert_eq!(ledger_hash(&eng), spans_hash(&recomputed));
             ops_state.publish(&eng, "", None);
             prop_assert_eq!(ops_state.tenants_body(), tenants_body_from_scratch(&eng));

@@ -2,7 +2,8 @@
 //! real binary, drives a full session (admit, duplicate, list, query,
 //! evict, malformed bytes, unknown op, stats, shutdown) over the framed
 //! protocol, and pins every response byte-for-byte in
-//! `tests/golden/serve_session.txt`.
+//! `tests/golden/serve_session.txt` — with and without the audit journal,
+//! whose file `srsched serve-replay` must then verify.
 //!
 //! The one exception is the `stats` response, whose Prometheus payload is
 //! deterministic but long and counter-set-coupled; its golden line is the
@@ -46,8 +47,9 @@ fn read_frames(mut bytes: &[u8]) -> Vec<String> {
     out
 }
 
-#[test]
-fn stdio_session_matches_golden_transcript() {
+/// Runs the golden session through `srsched serve --stdio` with `extra`
+/// flags appended and returns the response frames.
+fn run_session(extra: &[&str]) -> Vec<String> {
     let mut child = Command::new(env!("CARGO_BIN_EXE_srsched"))
         .args([
             "serve",
@@ -59,6 +61,7 @@ fn stdio_session_matches_golden_transcript() {
             "--parallelism",
             "1",
         ])
+        .args(extra)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -79,8 +82,12 @@ fn stdio_session_matches_golden_transcript() {
         .expect("read response frames");
     let status = child.wait().expect("daemon exits");
     assert!(status.success(), "daemon exited with {status}");
+    read_frames(&output)
+}
 
-    let responses = read_frames(&output);
+#[test]
+fn stdio_session_matches_golden_transcript() {
+    let responses = run_session(&[]);
     assert_eq!(responses.len(), REQUESTS.len());
 
     // Load-bearing assertions that survive any golden refresh.
@@ -113,7 +120,11 @@ fn stdio_session_matches_golden_transcript() {
             "stats response lacks {metric}: {stats}"
         );
     }
+    assert_golden(&responses);
+}
 
+/// The session's responses, `stats` masked, equal the golden transcript.
+fn assert_golden(responses: &[String]) {
     let golden_path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../tests/golden/serve_session.txt"
@@ -137,4 +148,41 @@ fn stdio_session_matches_golden_transcript() {
         "serve transcript drifted from {golden_path}; if intentional, update it to:\n{}",
         got.join("\n")
     );
+}
+
+/// The CLI round trip: the same session with `--journal` answers
+/// byte-identically, and `srsched serve-replay` verifies the journal it
+/// wrote under the fingerprint its meta line names.
+#[test]
+fn journaled_session_answers_the_same_and_replays() {
+    let journal = std::env::temp_dir().join(format!(
+        "sr_serve_golden_journal_{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&journal);
+    let path = journal.to_str().expect("UTF-8 temp path");
+    assert_golden(&run_session(&["--journal", path]));
+
+    let meta = std::fs::read_to_string(&journal).expect("journal written");
+    let meta = meta.lines().next().expect("a genesis line");
+    assert!(meta.contains("\"fingerprint\":\"fnv1a-row-sum\""), "{meta}");
+    let replay = Command::new(env!("CARGO_BIN_EXE_srsched"))
+        .args(["serve-replay", path])
+        .output()
+        .expect("run srsched serve-replay");
+    let said = String::from_utf8_lossy(&replay.stdout);
+    assert!(
+        replay.status.success(),
+        "{said}{}",
+        String::from_utf8_lossy(&replay.stderr)
+    );
+    assert!(
+        said.contains("3 ops verified bit-identical (2 admits, 1 evicts, 0 rejects)"),
+        "{said}"
+    );
+    assert!(
+        said.contains("hashes verified with the fnv1a-row-sum fingerprint"),
+        "{said}"
+    );
+    let _ = std::fs::remove_file(&journal);
 }

@@ -2,7 +2,8 @@
 //! admit/evict workload driven through the framed protocol while the
 //! HTTP exposition listener and the audit journal are attached, followed
 //! by `serve-replay` verification of the journal — including the
-//! torn-final-line and rotated-prefix recovery paths.
+//! torn-final-line and rotated-prefix recovery paths, and journals whose
+//! meta line names no fingerprint (written before the key existed).
 //!
 //! The engine here is built exactly as `srsched serve --topo torus:8x8
 //! --period 200` would build it (all other knobs at their CLI defaults),
@@ -273,6 +274,71 @@ fn invalid_spec_in_a_record_is_reported_and_the_prefix_verifies() {
         );
         clean(&journal);
     }
+}
+
+/// A journal written by a build from before the fingerprint meta key
+/// (`srsched serve --stdio --topo torus:8x8 --period 200 --bandwidth 64
+/// --parallelism 1 --journal …`): fast, adapted, rerouted and best-effort
+/// admits, a memo replay, four evicts and one reject. Its meta line names
+/// no fingerprint, so it verifies with the whole-stream FNV-1a and ends on
+/// the ledger hash that build's `serve-replay` printed.
+#[test]
+fn a_journal_without_a_fingerprint_key_replays_to_its_writers_hash() {
+    let fixture = std::path::Path::new(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/serve_audit_v1.jsonl"
+    ));
+    let out = replay(fixture).expect("the fixture verifies");
+    assert!(
+        out.contains(
+            "12 ops verified bit-identical (7 admits, 4 evicts, 1 rejects); tenants: 3; \
+             ledger hash c958ab2ec7694113"
+        ),
+        "{out}"
+    );
+    assert!(
+        out.contains("hashes verified with the fnv1a-whole fingerprint (the meta line names none)"),
+        "{out}"
+    );
+}
+
+/// A journal this build writes names its fingerprint; with the key
+/// removed it reads as a journal of the whole-stream kind and must fail at
+/// its first record, saying which fingerprint it checked. (On a table of
+/// one row the two functions agree by construction, so the first tenant
+/// here spans two links.)
+#[test]
+fn a_journal_stripped_of_its_fingerprint_key_fails_at_its_first_record() {
+    let journal = tmp_path("stripped");
+    clean(&journal);
+    let mut daemon = Daemon::new(engine());
+    daemon.attach_journal(&journal, META).expect("journal");
+    let wide = r#"{"op":"admit","tenant":{"name":"wide","tfg":"task a 100\ntask b 100\nmsg m a -> b 256","placement":[40,42]}}"#;
+    assert!(ok_frame(&mut daemon, wide).contains("\"links_used\":2"));
+    for i in 0..3 {
+        ok_frame(&mut daemon, &admit_req(i));
+    }
+    ok_frame(&mut daemon, r#"{"op":"evict","tenant":"drv1"}"#);
+    drop(daemon);
+
+    let out = replay(&journal).expect("the journal verifies as written");
+    assert!(
+        out.contains("5 ops verified bit-identical (4 admits, 1 evicts, 0 rejects)"),
+        "{out}"
+    );
+    assert!(
+        out.contains("hashes verified with the fnv1a-row-sum fingerprint, as the meta line names"),
+        "{out}"
+    );
+
+    let text = std::fs::read_to_string(&journal).expect("journal exists");
+    let key = format!(",\"{}\":\"fnv1a-row-sum\"", sr::serve::FINGERPRINT_KEY);
+    assert_eq!(text.matches(&key).count(), 1, "the meta line names it once");
+    std::fs::write(&journal, text.replacen(&key, "", 1)).expect("rewrites");
+    let err = replay(&journal).expect_err("another fingerprint cannot verify");
+    assert!(err.contains("replay diverged at line 2"), "{err}");
+    assert!(err.contains("under the fnv1a-whole fingerprint"), "{err}");
+    clean(&journal);
 }
 
 #[test]
