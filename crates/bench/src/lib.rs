@@ -168,8 +168,8 @@ impl Platform {
     }
 
     /// A 16-node 4×4 torus — the smallest platform that fits the standard
-    /// DVB workload; used by the `compile_search` bench where compile time
-    /// is dominated by the feedback search rather than path enumeration.
+    /// DVB workload, and the one whose feedback search descends the
+    /// capacity ladder most often (the metrics gate's workload).
     pub fn torus4x4(bandwidth: f64) -> Self {
         Platform::torus_nxn(4, bandwidth)
     }
@@ -208,9 +208,7 @@ pub const ALLOC_SEED: u64 = 7;
 /// The paper does not specify its task allocation (it is an input produced
 /// by a separate mapping step) but its evaluation implicitly assumes one
 /// task per processor; we use a seeded random *distinct* placement as the
-/// neutral choice. The allocation-strategy ablation bench shows how the
-/// choice moves both wormhole inconsistency and scheduled-routing
-/// feasibility.
+/// neutral choice.
 pub fn standard_workload(platform: &Platform) -> (TaskFlowGraph, Allocation, Timing) {
     let tfg = dvb_uniform(DVB_MODELS);
     let alloc = sr::mapping::random_distinct(&tfg, platform.topo.as_ref(), ALLOC_SEED)

@@ -1056,47 +1056,53 @@ fn serve_engine(
     sr::serve::Engine::new(topo, serve_cfg)
 }
 
+/// The audit meta keys `srsched serve` writes; each records the flag of the
+/// same name (`alloc_engine` is `--alloc-engine`).
+const META_KEYS: [&str; 9] = [
+    "topo",
+    "period",
+    "bandwidth",
+    "guard",
+    "spare",
+    "parallelism",
+    "partition",
+    "alloc_engine",
+    "cap_scale",
+];
+
 /// Rebuilds the serve engine from an audit journal's genesis meta line,
 /// with the fingerprint function the line names to verify its records.
-/// `topo` and `period` are required; every other knob falls back to its
-/// command-line default (matching a daemon started without that flag).
+/// The meta values go back through the `serve` command line's own parser
+/// and [`compile_config`], so the engine is configured exactly as the
+/// daemon that wrote the line. `topo` and `period` are required; an absent
+/// knob keeps its command-line default (a daemon started without that
+/// flag), and a present one that does not parse is an error naming it.
 fn engine_from_meta(
     meta: &std::collections::BTreeMap<String, String>,
 ) -> Result<(sr::serve::Engine, sr::serve::Fingerprint), Box<dyn Error>> {
     let fingerprint = sr::serve::Fingerprint::of_meta(meta).map_err(SpecError::new)?;
-    let get = |k: &str| meta.get(k).map(String::as_str);
-    let topo = parse_topology(
-        get("topo").ok_or_else(|| SpecError::new("audit meta is missing \"topo\""))?,
-    )?;
-    let period: f64 = get("period")
-        .ok_or_else(|| SpecError::new("audit meta is missing \"period\""))?
-        .parse()
-        .map_err(|_| SpecError::new("audit meta \"period\" is not a number"))?;
-    let defaults = Options::default();
-    let num = |k: &str, fallback: f64| get(k).and_then(|s| s.parse().ok()).unwrap_or(fallback);
-    let int = |k: &str, fallback: usize| get(k).and_then(|s| s.parse().ok()).unwrap_or(fallback);
-    let bandwidth = num("bandwidth", defaults.bandwidth);
-    let parallelism = int("parallelism", defaults.parallelism);
-    let mut config = CompileConfig {
-        guard_time: num("guard", defaults.guard),
-        parallelism,
-        spare_capacity: num("spare", defaults.spare),
-        alloc_engine: match get("alloc_engine") {
-            Some("flow") => AllocEngine::Flow,
-            _ => AllocEngine::Simplex,
-        },
-        partition: int("partition", defaults.partition),
-        ..CompileConfig::default()
-    };
-    if let Some(s) = get("cap_scale").and_then(|s| s.parse::<f64>().ok()) {
-        config.feedback_scales = vec![s];
+    let missing = |key: &str| SpecError::new(format!("audit meta is missing \"{key}\""));
+    if !meta.contains_key("topo") {
+        return Err(missing("topo").into());
     }
+    let mut argv = vec!["serve".to_string()];
+    for key in META_KEYS {
+        if let Some(value) = meta.get(key) {
+            let flag = format!("--{}", key.replace('_', "-"));
+            let one = ["serve".to_string(), flag, value.clone()];
+            parse_args(&one)
+                .map_err(|e| SpecError::new(format!("audit meta \"{key}\" is {value:?}: {e}")))?;
+            argv.extend_from_slice(&one[1..]);
+        }
+    }
+    let opts = parse_args(&argv)?;
+    let period = opts.period.ok_or_else(|| missing("period"))?;
     let engine = serve_engine(
-        topo,
+        parse_topology(&opts.topo)?,
         period,
-        Timing::calibrated_dvb(bandwidth),
-        config,
-        parallelism,
+        Timing::calibrated_dvb(opts.bandwidth),
+        compile_config(&opts),
+        opts.parallelism,
     );
     Ok((engine, fingerprint))
 }
@@ -1770,6 +1776,94 @@ mod tests {
         // A second positional or a stray flag still errors.
         assert!(parse_args(&args("serve-replay a.jsonl b.jsonl")).is_err());
         assert!(parse_args(&args("compile extra.file")).is_err());
+    }
+
+    /// The genesis meta line `srsched serve` writes, with `key` set to
+    /// `value` (or removed when `value` is `None`).
+    fn meta_with(key: &str, value: Option<&str>) -> std::collections::BTreeMap<String, String> {
+        let mut meta: std::collections::BTreeMap<String, String> = [
+            ("kind", "serve-audit"),
+            ("topo", "torus:8x8"),
+            ("period", "200"),
+            ("bandwidth", "64"),
+            ("guard", "0"),
+            ("spare", "0"),
+            ("parallelism", "1"),
+            ("partition", "0"),
+            ("alloc_engine", "simplex"),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect();
+        match value {
+            Some(v) => meta.insert(key.to_string(), v.to_string()),
+            None => meta.remove(key),
+        };
+        meta
+    }
+
+    /// A meta value that does not parse is an error naming its key, not a
+    /// silent fall back to the command-line default.
+    fn assert_meta_rejected(key: &str, value: &str) {
+        let Err(e) = engine_from_meta(&meta_with(key, Some(value))) else {
+            panic!("meta {key} = {value:?} rebuilt an engine");
+        };
+        assert!(e.to_string().contains(&format!("\"{key}\"")), "{e}");
+    }
+
+    #[test]
+    fn meta_alloc_engine_typo_is_an_error() {
+        assert_meta_rejected("alloc_engine", "flwo");
+    }
+
+    #[test]
+    fn meta_bandwidth_that_does_not_parse_is_an_error() {
+        assert_meta_rejected("bandwidth", "abc");
+    }
+
+    #[test]
+    fn meta_partition_that_does_not_parse_is_an_error() {
+        assert_meta_rejected("partition", "x");
+    }
+
+    #[test]
+    fn meta_guard_that_does_not_parse_is_an_error() {
+        assert_meta_rejected("guard", "1.5us");
+    }
+
+    #[test]
+    fn meta_spare_that_does_not_parse_is_an_error() {
+        assert_meta_rejected("spare", "");
+    }
+
+    #[test]
+    fn meta_parallelism_that_does_not_parse_is_an_error() {
+        assert_meta_rejected("parallelism", "-1");
+    }
+
+    #[test]
+    fn meta_cap_scale_that_does_not_parse_is_an_error() {
+        assert_meta_rejected("cap_scale", "half");
+    }
+
+    #[test]
+    fn meta_absent_knobs_keep_their_defaults() {
+        for key in [
+            "bandwidth",
+            "guard",
+            "spare",
+            "parallelism",
+            "partition",
+            "alloc_engine",
+        ] {
+            assert!(engine_from_meta(&meta_with(key, None)).is_ok(), "{key}");
+        }
+        for key in ["topo", "period"] {
+            let Err(e) = engine_from_meta(&meta_with(key, None)) else {
+                panic!("a meta line without {key} rebuilt an engine");
+            };
+            assert!(e.to_string().contains(&format!("missing \"{key}\"")), "{e}");
+        }
     }
 
     #[test]

@@ -32,17 +32,16 @@
 //! hold under *exact* float equality, with no epsilon.
 //!
 //! The classical kernel — one full Bellman–Ford relaxation per
-//! augmentation — is kept as [`FlowKernel::BellmanFordOracle`], the
-//! differential oracle (exactly like dense-vs-sparse simplex). Both
-//! kernels compute exact shortest distances and then feed one shared
-//! **canonical predecessor extraction**: a BFS from the source over
-//! *tight* residual arcs (`dist[u] + cost == dist[v]`, exact equality),
-//! first visit in adjacency order wins. Tightness in reduced costs is
-//! algebraically identical to tightness in raw costs, so both kernels
-//! select the same augmenting path, push the same bottleneck, and leave
-//! bit-identical residual networks — the extracted allocations are
-//! bit-identical, not merely equal in objective (proptested in
-//! `tests/proptests.rs`).
+//! augmentation — lives in this module's tests as the differential oracle
+//! (as the dense tableau does beside the sparse simplex). Both kernels
+//! compute exact shortest distances and then feed one **canonical
+//! predecessor extraction**: a BFS from the source over *tight* residual
+//! arcs (`dist[u] + cost == dist[v]`, exact equality), first visit in
+//! adjacency order wins. Tightness in reduced costs is algebraically
+//! identical to tightness in raw costs, so both kernels select the same
+//! augmenting path, push the same bottleneck, and leave bit-identical
+//! residual networks — the extracted allocations are bit-identical, not
+//! merely equal in objective (proptested in this module's tests).
 //!
 //! Scratch memory (arc pool, adjacency, distance/potential arrays, heap)
 //! lives in a [`FlowWorkspace`] reused across the per-subset solves of one
@@ -82,19 +81,6 @@ const FLOW_EPS: f64 = 1e-9;
 const SOURCE: usize = 0;
 const SINK: usize = 1;
 
-/// Which augmenting-search kernel drives the min-cost-flow solves.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum FlowKernel {
-    /// Dijkstra over reduced costs with carried node potentials — the
-    /// production kernel.
-    #[default]
-    SspDijkstra,
-    /// Full Bellman–Ford relaxation per augmentation — the differential
-    /// oracle. Bit-identical allocations to [`FlowKernel::SspDijkstra`]
-    /// (shared canonical predecessor extraction), O(V·E) per augmentation.
-    BellmanFordOracle,
-}
-
 /// Work counters for one flow-allocation pass, deterministic for fixed
 /// inputs (the network build order, the heap tie-break, and the canonical
 /// predecessor extraction are all input-ordered).
@@ -109,12 +95,11 @@ pub struct FlowAllocStats {
     /// Shortest-path augmentations performed.
     pub augmentations: u64,
     /// Binary-heap pops across all Dijkstra runs (stale lazy-deletion
-    /// entries included). Zero under [`FlowKernel::BellmanFordOracle`].
+    /// entries included).
     pub dijkstra_pops: u64,
     /// Dijkstra runs that reused potentials carried from a previous
     /// augmentation of the same subset network instead of recomputing
     /// them from scratch — every augmentation after a solve's first.
-    /// Zero under [`FlowKernel::BellmanFordOracle`].
     pub potential_reuse_hits: u64,
     /// Subsets whose extracted split violated constraint (4) (chain
     /// jumping) and were re-solved by the simplex oracle.
@@ -383,17 +368,11 @@ impl FlowNet {
         self.arcs[ai ^ 1].cap
     }
 
-    /// Successive-shortest-paths max flow from `s` to `t`; returns the
-    /// value pushed. Both kernels compute exact distances and share the
-    /// canonical predecessor extraction, so the augmentation sequence —
-    /// and the final residual network — is kernel-independent.
-    fn max_flow_min_cost(
-        &mut self,
-        s: usize,
-        t: usize,
-        kernel: FlowKernel,
-        stats: &mut FlowAllocStats,
-    ) -> f64 {
+    /// Sizes the kernel's per-node buffers for the current network and
+    /// zeroes the potentials. Every initial residual cost is a non-negative
+    /// interval index, so zero potentials are already valid (no warm-up
+    /// Bellman–Ford needed); they are initialized once per subset network.
+    fn prepare(&mut self) {
         let n = self.nodes;
         if self.dist.len() < n {
             self.dist.resize(n, 0.0);
@@ -401,61 +380,64 @@ impl FlowNet {
             self.prev.resize(n, usize::MAX);
             self.seen.resize(n, false);
         }
-        // Potentials are initialized once per subset network: every
-        // initial residual cost is a non-negative interval index, so zero
-        // potentials are already valid (no warm-up Bellman–Ford needed).
         self.pot[..n].fill(0.0);
+    }
+
+    /// Successive-shortest-paths max flow from `s` to `t`; returns the
+    /// value pushed. Distances are exact and the augmenting path is the
+    /// canonical one ([`Self::extract_predecessors`]), so the augmentation
+    /// sequence — and the final residual network — is the Bellman–Ford
+    /// oracle's.
+    fn max_flow_min_cost(&mut self, s: usize, t: usize, stats: &mut FlowAllocStats) -> f64 {
+        self.prepare();
         let mut pushed = 0.0f64;
         let mut first = true;
         loop {
-            match kernel {
-                FlowKernel::SspDijkstra => {
-                    if !first {
-                        stats.potential_reuse_hits += 1;
-                    }
-                    self.dijkstra(s, stats);
-                }
-                FlowKernel::BellmanFordOracle => self.bellman_ford(s),
+            if !first {
+                stats.potential_reuse_hits += 1;
             }
             first = false;
+            self.dijkstra(s, stats);
             if self.dist[t].is_infinite() {
                 return pushed;
             }
-            self.extract_predecessors(s, t, kernel);
+            self.extract_predecessors(s, t);
+            let bottleneck = self.augment(s, t);
 
-            // Bottleneck along the canonical path, then augment.
-            let mut bottleneck = f64::INFINITY;
-            let mut v = t;
-            while v != s {
-                let ai = self.prev[v];
-                bottleneck = bottleneck.min(self.arcs[ai].cap);
-                v = self.arcs[ai ^ 1].to;
-            }
-            let mut v = t;
-            while v != s {
-                let ai = self.prev[v];
-                self.arcs[ai].cap -= bottleneck;
-                self.arcs[ai ^ 1].cap += bottleneck;
-                v = self.arcs[ai ^ 1].to;
-            }
-
-            if kernel == FlowKernel::SspDijkstra {
-                // π[v] += min(dist[v], dist[t]) keeps every residual arc's
-                // reduced cost non-negative: unreachable tails shift by
-                // the full dist[t] (their residual arcs can only point at
-                // nodes shifted by at most that much), and reachable
-                // pairs inherit the triangle inequality. Augmenting-path
-                // arcs land at reduced cost exactly zero, so their new
-                // reverse twins are valid too.
-                let dt = self.dist[t];
-                for v in 0..n {
-                    let dv = self.dist[v];
-                    self.pot[v] += if dv < dt { dv } else { dt };
-                }
+            // π[v] += min(dist[v], dist[t]) keeps every residual arc's
+            // reduced cost non-negative: unreachable tails shift by the
+            // full dist[t] (their residual arcs can only point at nodes
+            // shifted by at most that much), and reachable pairs inherit
+            // the triangle inequality. Augmenting-path arcs land at reduced
+            // cost exactly zero, so their new reverse twins are valid too.
+            let dt = self.dist[t];
+            for v in 0..self.nodes {
+                let dv = self.dist[v];
+                self.pot[v] += if dv < dt { dv } else { dt };
             }
             stats.augmentations += 1;
             pushed += bottleneck;
         }
+    }
+
+    /// Pushes the bottleneck along the extracted `s → t` path and returns
+    /// it.
+    fn augment(&mut self, s: usize, t: usize) -> f64 {
+        let mut bottleneck = f64::INFINITY;
+        let mut v = t;
+        while v != s {
+            let ai = self.prev[v];
+            bottleneck = bottleneck.min(self.arcs[ai].cap);
+            v = self.arcs[ai ^ 1].to;
+        }
+        let mut v = t;
+        while v != s {
+            let ai = self.prev[v];
+            self.arcs[ai].cap -= bottleneck;
+            self.arcs[ai ^ 1].cap += bottleneck;
+            v = self.arcs[ai ^ 1].to;
+        }
+        bottleneck
     }
 
     /// Binary-heap Dijkstra over reduced costs. Runs to heap exhaustion
@@ -501,49 +483,15 @@ impl FlowNet {
         }
     }
 
-    /// The oracle kernel's distance pass: Bellman–Ford over raw residual
-    /// costs, relaxing arcs in build order until a fixed point. Costs are
-    /// exact integers, so strict improvement needs no epsilon and the
-    /// fixed point is the exact distance vector.
-    fn bellman_ford(&mut self, s: usize) {
-        let FlowNet {
-            arcs,
-            adj,
-            nodes,
-            dist,
-            ..
-        } = self;
-        let n = *nodes;
-        dist[..n].fill(f64::INFINITY);
-        dist[s] = 0.0;
-        for _ in 0..n {
-            let mut improved = false;
-            for u in 0..n {
-                if dist[u].is_infinite() {
-                    continue;
-                }
-                for &ai in &adj[u] {
-                    let a = &arcs[ai];
-                    if a.cap > FLOW_EPS && dist[u] + a.cost < dist[a.to] {
-                        dist[a.to] = dist[u] + a.cost;
-                        improved = true;
-                    }
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
-    }
-
-    /// Canonical predecessor extraction, shared by both kernels: BFS from
-    /// `s` over *tight* residual arcs (`dist[u] + cost == dist[v]`, exact
+    /// Canonical predecessor extraction: BFS from `s` over *tight*
+    /// residual arcs (`dist[u] + cost == dist[v]` in reduced costs, exact
     /// float equality on exactly-representable integers), first visit in
-    /// adjacency order wins. Raw-cost tightness and reduced-cost
-    /// tightness pick out the same arc set (the potential terms cancel
-    /// along any comparison of true distances), so the BFS tree — and the
-    /// augmenting path it yields — is identical under either kernel.
-    fn extract_predecessors(&mut self, s: usize, t: usize, kernel: FlowKernel) {
+    /// adjacency order wins. Raw-cost tightness and reduced-cost tightness
+    /// pick out the same arc set (the potential terms cancel along any
+    /// comparison of true distances), so the BFS tree — and the augmenting
+    /// path it yields — is the one the Bellman–Ford oracle extracts with
+    /// its potentials left at zero.
+    fn extract_predecessors(&mut self, s: usize, t: usize) {
         let FlowNet {
             arcs,
             adj,
@@ -570,10 +518,7 @@ impl FlowNet {
                 if a.cap <= FLOW_EPS || seen[a.to] {
                     continue;
                 }
-                let c = match kernel {
-                    FlowKernel::SspDijkstra => a.cost + pot[u] - pot[a.to],
-                    FlowKernel::BellmanFordOracle => a.cost,
-                };
+                let c = a.cost + pot[u] - pot[a.to];
                 if dist[u] + c == dist[a.to] {
                     seen[a.to] = true;
                     prev[a.to] = ai;
@@ -616,40 +561,6 @@ pub fn allocate_intervals_flow(
     stats: &mut FlowAllocStats,
     lp_stats: &mut AllocationStats,
 ) -> Result<IntervalAllocation, CompileError> {
-    allocate_intervals_flow_with_kernel(
-        assignment,
-        bounds,
-        activity,
-        intervals,
-        subsets,
-        capacity_scale,
-        FlowKernel::SspDijkstra,
-        ws,
-        stats,
-        lp_stats,
-    )
-}
-
-/// [`allocate_intervals_flow`] with an explicit kernel choice — the entry
-/// point the differential tests use to pit the production Dijkstra kernel
-/// against the Bellman–Ford oracle on identical inputs.
-///
-/// # Errors
-///
-/// As [`allocate_intervals_flow`].
-#[allow(clippy::too_many_arguments)]
-pub fn allocate_intervals_flow_with_kernel(
-    assignment: &PathAssignment,
-    bounds: &TimeBounds,
-    activity: &ActivityMatrix,
-    intervals: &Intervals,
-    subsets: &[Vec<MessageId>],
-    capacity_scale: f64,
-    kernel: FlowKernel,
-    ws: &mut FlowWorkspace,
-    stats: &mut FlowAllocStats,
-    lp_stats: &mut AllocationStats,
-) -> Result<IntervalAllocation, CompileError> {
     let mut p = vec![vec![0.0; intervals.len()]; assignment.len()];
     for subset in subsets {
         solve_subset_flow(
@@ -658,7 +569,6 @@ pub fn allocate_intervals_flow_with_kernel(
             activity,
             subset,
             |_, k| capacity_scale * intervals.length(k),
-            kernel,
             ws,
             &mut p,
             stats,
@@ -766,7 +676,6 @@ pub fn allocate_intervals_pinned_reserved_flow(
                     + reserved.get(&link).map_or(0.0, |r| r[k]);
                 (capacity_scale * intervals.length(k) - used).max(0.0)
             },
-            FlowKernel::SspDijkstra,
             ws,
             &mut p,
             stats,
@@ -783,7 +692,6 @@ fn solve_subset_flow<C>(
     activity: &ActivityMatrix,
     subset: &[MessageId],
     capacity: C,
-    kernel: FlowKernel,
     ws: &mut FlowWorkspace,
     p: &mut [Vec<f64>],
     stats: &mut FlowAllocStats,
@@ -816,7 +724,7 @@ where
     stats.solves += 1;
     stats.nodes += net.nodes as u64;
     stats.arcs += (net.arcs.len() / 2) as u64;
-    let value = net.max_flow_min_cost(SOURCE, SINK, kernel, stats);
+    let value = net.max_flow_min_cost(SOURCE, SINK, stats);
     if value < total - EPS {
         // Exact verdict: an LP-feasible split always induces a full flow.
         return Err(CompileError::AllocationInfeasible {
@@ -898,7 +806,9 @@ where
 mod tests {
     use super::*;
     use crate::{allocate_intervals, related_subsets};
+    use proptest::prelude::*;
     use sr_mapping::Allocation;
+    use sr_tfg::generators::{layered_random, LayeredParams};
     use sr_tfg::{assign_time_bounds, TfgBuilder, Timing, WindowPolicy};
     use sr_topology::{GeneralizedHypercube, NodeId};
 
@@ -949,25 +859,96 @@ mod tests {
         )
     }
 
-    fn kernel_alloc(
-        f: &Fixture,
-        scale: f64,
-        kernel: FlowKernel,
-        ws: &mut FlowWorkspace,
-        stats: &mut FlowAllocStats,
-    ) -> Result<IntervalAllocation, CompileError> {
-        allocate_intervals_flow_with_kernel(
-            &f.assignment,
-            &f.bounds,
-            &f.activity,
-            &f.intervals,
-            &f.subsets,
-            scale,
-            kernel,
-            ws,
-            stats,
-            &mut AllocationStats::default(),
-        )
+    /// The oracle kernel's distance pass: Bellman–Ford over raw residual
+    /// costs, relaxing arcs in build order until a fixed point. Costs are
+    /// exact integers, so strict improvement needs no epsilon and the
+    /// fixed point is the exact distance vector.
+    fn bellman_ford(net: &mut FlowNet, s: usize) {
+        let FlowNet {
+            arcs,
+            adj,
+            nodes,
+            dist,
+            ..
+        } = net;
+        let n = *nodes;
+        dist[..n].fill(f64::INFINITY);
+        dist[s] = 0.0;
+        for _ in 0..n {
+            let mut improved = false;
+            for u in 0..n {
+                if dist[u].is_infinite() {
+                    continue;
+                }
+                for &ai in &adj[u] {
+                    let a = &arcs[ai];
+                    if a.cap > FLOW_EPS && dist[u] + a.cost < dist[a.to] {
+                        dist[a.to] = dist[u] + a.cost;
+                        improved = true;
+                    }
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+    }
+
+    /// The classical kernel, kept as the differential oracle: successive
+    /// shortest paths with one Bellman–Ford pass per augmentation, O(V·E)
+    /// each. Its potentials stay zero, so the shared tight-arc extraction
+    /// reads raw costs. Returns the value pushed and the augmentations.
+    fn bellman_ford_max_flow(net: &mut FlowNet, s: usize, t: usize) -> (f64, u64) {
+        net.prepare();
+        let (mut pushed, mut augmentations) = (0.0f64, 0u64);
+        loop {
+            bellman_ford(net, s);
+            if net.dist[t].is_infinite() {
+                return (pushed, augmentations);
+            }
+            net.extract_predecessors(s, t);
+            pushed += net.augment(s, t);
+            augmentations += 1;
+        }
+    }
+
+    /// Solves every subset network at full capacity with the production
+    /// kernel and with the oracle, asserting that both push the same value
+    /// and leave bit-identical residual networks — so every allocation row
+    /// extracted from them is bit-identical too. Returns the production
+    /// kernel's counters and the oracle's augmentation count.
+    fn assert_kernels_agree(
+        assignment: &PathAssignment,
+        bounds: &TimeBounds,
+        activity: &ActivityMatrix,
+        intervals: &Intervals,
+        subsets: &[Vec<MessageId>],
+    ) -> (FlowAllocStats, u64) {
+        let residual =
+            |net: &FlowNet| -> Vec<u64> { net.arcs.iter().map(|a| a.cap.to_bits()).collect() };
+        let capacity = |_: LinkId, k: usize| intervals.length(k);
+        let mut ws = FlowWorkspace::new();
+        let mut dijkstra = FlowAllocStats::default();
+        let mut oracle_augmentations = 0;
+        for subset in subsets {
+            let actives: Vec<Vec<usize>> = subset
+                .iter()
+                .map(|&m| activity.active_intervals(m))
+                .collect();
+            let durations: Vec<f64> = subset
+                .iter()
+                .map(|&m| bounds.window(m).duration())
+                .collect();
+            ws.build(assignment, subset, &actives, &durations, &capacity);
+            let pushed = ws.net.max_flow_min_cost(SOURCE, SINK, &mut dijkstra);
+            let by_dijkstra = residual(&ws.net);
+            ws.build(assignment, subset, &actives, &durations, &capacity);
+            let (oracle_pushed, augmentations) = bellman_ford_max_flow(&mut ws.net, SOURCE, SINK);
+            oracle_augmentations += augmentations;
+            assert_eq!(pushed.to_bits(), oracle_pushed.to_bits(), "{subset:?}");
+            assert_eq!(by_dijkstra, residual(&ws.net), "{subset:?}");
+        }
+        (dijkstra, oracle_augmentations)
     }
 
     fn check_constraints(f: &Fixture, alloc: &IntervalAllocation, scale: f64) {
@@ -1073,39 +1054,77 @@ mod tests {
     fn dijkstra_matches_bellman_ford_oracle_bitwise() {
         for (period, bytes) in [(50.0, 640), (120.0, 640), (50.0, 1280), (90.0, 960)] {
             let f = shared_link(period, bytes);
-            let mut dk = FlowAllocStats::default();
-            let mut bf = FlowAllocStats::default();
-            let a = kernel_alloc(
-                &f,
-                1.0,
-                FlowKernel::SspDijkstra,
-                &mut FlowWorkspace::new(),
-                &mut dk,
+            let (dijkstra, oracle_augmentations) = assert_kernels_agree(
+                &f.assignment,
+                &f.bounds,
+                &f.activity,
+                &f.intervals,
+                &f.subsets,
+            );
+            // Same augmentation sequence; only Dijkstra pays the heap.
+            assert_eq!(dijkstra.augmentations, oracle_augmentations);
+            assert!(dijkstra.dijkstra_pops > 0);
+        }
+    }
+
+    /// A random layered TFG randomly placed on a binary 4-cube at a period
+    /// between 1.2 and 4 times its longest task, routed LSD-to-MSD.
+    fn random_stage() -> impl Strategy<Value = Fixture> {
+        (
+            any::<u64>(),
+            any::<u64>(),
+            1.2f64..4.0,
+            2usize..4,
+            1usize..4,
+        )
+            .prop_filter_map(
+                "period accommodates all messages",
+                |(seed, alloc_seed, period_factor, layers, width)| {
+                    let topo = GeneralizedHypercube::binary(4).unwrap();
+                    let params = LayeredParams {
+                        layers,
+                        width,
+                        edge_probability: 0.5,
+                        ops: (500, 2000),
+                        bytes: (64, 2048),
+                    };
+                    let tfg = layered_random(seed, &params);
+                    let timing = Timing::new(64.0, 20.0);
+                    let alloc = sr_mapping::random(&tfg, &topo, alloc_seed);
+                    let period = timing.longest_task(&tfg) * period_factor;
+                    let bounds =
+                        assign_time_bounds(&tfg, &timing, period, WindowPolicy::LongestTask)
+                            .ok()?;
+                    let intervals = Intervals::from_bounds(&bounds);
+                    let activity = ActivityMatrix::new(&bounds, &intervals);
+                    let assignment = PathAssignment::lsd_to_msd(&tfg, &topo, &alloc);
+                    let subsets = related_subsets(&assignment, &activity);
+                    Some(Fixture {
+                        assignment,
+                        bounds,
+                        activity,
+                        intervals,
+                        subsets,
+                    })
+                },
             )
-            .unwrap();
-            let b = kernel_alloc(
-                &f,
-                1.0,
-                FlowKernel::BellmanFordOracle,
-                &mut FlowWorkspace::new(),
-                &mut bf,
-            )
-            .unwrap();
-            for m in 0..f.assignment.len() {
-                for k in 0..f.intervals.len() {
-                    let (x, y) = (a.allocated(MessageId(m), k), b.allocated(MessageId(m), k));
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "kernel divergence at ({m},{k}): {x} vs {y}"
-                    );
-                }
-            }
-            // Same augmentation sequence, but only Dijkstra pays the heap.
-            assert_eq!(dk.augmentations, bf.augmentations);
-            assert!(dk.dijkstra_pops > 0);
-            assert_eq!(bf.dijkstra_pops, 0);
-            assert_eq!(bf.potential_reuse_hits, 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The potential-reusing Dijkstra kernel is bit-identical to the
+        /// Bellman–Ford oracle on random subset networks: not just the same
+        /// objective, the same residual network arc for arc, hence the same
+        /// *allocation matrix* cell for cell. Both kernels compute exact
+        /// shortest distances and share one canonical tight-arc predecessor
+        /// extraction, so the augmenting paths coincide exactly.
+        #[test]
+        fn dijkstra_kernel_matches_bellman_ford_allocations(f in random_stage()) {
+            let (dijkstra, oracle_augmentations) = assert_kernels_agree(
+                &f.assignment, &f.bounds, &f.activity, &f.intervals, &f.subsets,
+            );
+            prop_assert_eq!(dijkstra.augmentations, oracle_augmentations);
         }
     }
 
@@ -1115,18 +1134,20 @@ mod tests {
         // give the same bits as a fresh workspace each time.
         let f = shared_link(120.0, 640);
         let mut shared = FlowWorkspace::new();
-        let mut stats = FlowAllocStats::default();
-        let fresh = kernel_alloc(
-            &f,
-            1.0,
-            FlowKernel::SspDijkstra,
-            &mut FlowWorkspace::new(),
-            &mut FlowAllocStats::default(),
-        )
-        .unwrap();
+        let fresh = flow_alloc(&f, 1.0).unwrap();
         for _ in 0..3 {
-            let again =
-                kernel_alloc(&f, 1.0, FlowKernel::SspDijkstra, &mut shared, &mut stats).unwrap();
+            let again = allocate_intervals_flow(
+                &f.assignment,
+                &f.bounds,
+                &f.activity,
+                &f.intervals,
+                &f.subsets,
+                1.0,
+                &mut shared,
+                &mut FlowAllocStats::default(),
+                &mut AllocationStats::default(),
+            )
+            .unwrap();
             for m in 0..f.assignment.len() {
                 for k in 0..f.intervals.len() {
                     assert_eq!(

@@ -24,14 +24,14 @@ pub struct AllocationStats {
 /// Warm-start bases for the allocation subset LPs, keyed by subset
 /// position.
 ///
-/// Each maximal related subset solves one LP; along a candidate's
-/// capacity-scale ladder the subset LPs are *structurally identical* — the
-/// assignment, activity, intervals, and subsets are fixed, only the
-/// capacity right-hand sides shrink — so the optimal basis of the previous
-/// scale is a legal warm start for the next one ([`sr_lp::Problem::solve_warm`]).
-/// The cache must be discarded whenever the assignment or subsets change
-/// (i.e. across seeds); reusing it would still be *correct* (a mismatched
-/// basis degrades to a cold solve) but would churn on misses.
+/// Each maximal related subset solves one LP; down the pinned re-allocation
+/// ladder of [`crate::reallocate_pinned`] the subset LPs are *structurally
+/// identical* — the assignment, activity, intervals, and subsets are fixed,
+/// only the capacity right-hand sides shrink — so the optimal basis of the
+/// previous scale is a legal warm start for the next one
+/// ([`sr_lp::Problem::solve_warm`]). Reusing a cache across changed
+/// assignments or subsets is still *correct* (a mismatched basis degrades to
+/// a cold solve) but churns on misses.
 #[derive(Debug, Clone, Default)]
 pub struct AllocBasisCache {
     bases: Vec<Option<Basis>>,
@@ -41,11 +41,6 @@ impl AllocBasisCache {
     /// An empty cache (every subset LP starts cold).
     pub fn new() -> Self {
         AllocBasisCache::default()
-    }
-
-    /// Number of subset slots currently holding a reusable basis.
-    pub fn warm_slots(&self) -> usize {
-        self.bases.iter().filter(|b| b.is_some()).count()
     }
 
     fn slot(&mut self, si: usize) -> &mut Option<Basis> {
@@ -65,8 +60,8 @@ pub struct IntervalAllocation {
 }
 
 impl IntervalAllocation {
-    /// Crate-internal constructor from an explicit matrix (tests, ablations).
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Crate-internal constructor from an explicit matrix (the flow
+    /// allocation backend builds its rows itself).
     pub(crate) fn from_matrix(p: Vec<Vec<f64>>) -> Self {
         IntervalAllocation { p }
     }
@@ -170,52 +165,6 @@ pub fn allocate_intervals_stats(
             |_, k| capacity_scale * intervals.length(k),
             &mut p,
             None,
-            stats,
-        )?;
-    }
-    Ok(IntervalAllocation { p })
-}
-
-/// [`allocate_intervals_stats`] with warm-started subset LPs.
-///
-/// Each subset LP warm-starts from the basis stored in `cache` at its
-/// subset position and deposits its own optimal basis back, so a caller
-/// walking a capacity-scale ladder (same assignment and subsets, shrinking
-/// capacities) skips phase 1 whenever the previous scale's split still fits
-/// — for these zero-objective feasibility systems that is the entire solve.
-///
-/// The *feasibility verdict* is identical to the cold path (it is a
-/// property of the LP, not the start point), but a warm solve may land on a
-/// different optimal vertex than a cold one, so the allocation matrix can
-/// differ. Callers that promise cold-identical output (the compile walk's
-/// accepted candidate) must re-derive it cold — see
-/// `CompileConfig::warm_start`.
-///
-/// # Errors
-///
-/// As [`allocate_intervals`].
-#[allow(clippy::too_many_arguments)]
-pub fn allocate_intervals_warm(
-    assignment: &PathAssignment,
-    bounds: &TimeBounds,
-    activity: &ActivityMatrix,
-    intervals: &Intervals,
-    subsets: &[Vec<MessageId>],
-    capacity_scale: f64,
-    cache: &mut AllocBasisCache,
-    stats: &mut AllocationStats,
-) -> Result<IntervalAllocation, CompileError> {
-    let mut p = vec![vec![0.0; intervals.len()]; assignment.len()];
-
-    for (si, subset) in subsets.iter().enumerate() {
-        solve_subset_capacities(
-            assignment,
-            bounds,
-            activity,
-            subset,
-            |_, k| capacity_scale * intervals.length(k),
-            &mut p,
-            Some(cache.slot(si)),
             stats,
         )?;
     }
@@ -588,8 +537,7 @@ where
 /// after pinned traffic for incremental repair).
 ///
 /// When `warm` is supplied the LP warm-starts from the slot's basis and the
-/// new optimal basis is stored back into it; `None` keeps the cold path
-/// (bit-identical to the pre-warm-start implementation).
+/// new optimal basis is stored back into it; `None` solves cold.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_subset_capacities<C>(
     assignment: &PathAssignment,

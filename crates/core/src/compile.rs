@@ -10,10 +10,10 @@ use crate::diagnosis::{CandidateOutcome, CandidateRecord, Diagnosis};
 use crate::interval_sched::schedule_intervals_guarded_stats;
 use crate::{
     allocate_intervals_flow, allocate_intervals_partitioned, allocate_intervals_stats,
-    allocate_intervals_warm, assign_paths_pooled, build_node_schedules, related_subsets,
-    ActivityMatrix, AllocBasisCache, AllocationStats, AssignPathsConfig, CompileError,
-    FlowAllocStats, FlowWorkspace, IntervalAllocation, IntervalSchedStats, IntervalSchedule,
-    Intervals, NodeSchedule, PathAssignment, PathPool, PeakCertificate, Segment, UtilizationMap,
+    assign_paths_pooled, build_node_schedules, related_subsets, ActivityMatrix, AllocationStats,
+    AssignPathsConfig, CompileError, FlowAllocStats, FlowWorkspace, IntervalAllocation,
+    IntervalSchedStats, IntervalSchedule, Intervals, NodeSchedule, PathAssignment, PathPool,
+    PeakCertificate, Segment, UtilizationMap,
 };
 
 /// Backend for the message–interval allocation stage.
@@ -21,12 +21,12 @@ use crate::{
 /// Both engines accept and reject exactly the same instances and every
 /// emitted schedule satisfies constraints (3) and (4); they differ in the
 /// machinery (and therefore the work counters) used per maximal related
-/// subset. The simplex engine is the reference oracle, exactly as
-/// [`sr_lp::LpEngine::Dense`] was kept beside the sparse rewrite.
+/// subset. The simplex engine is the reference: the flow engine falls back
+/// to it, and the tests hold the flow engine's verdicts against it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum AllocEngine {
-    /// One LP per subset, solved by the sparse revised simplex (with
-    /// warm-started bases along capacity-scale ladders). The default.
+    /// One LP per subset, solved by the sparse revised simplex. The
+    /// default.
     #[default]
     Simplex,
     /// One time-expanded min-cost-flow network per subset, solved by
@@ -69,19 +69,6 @@ pub struct CompileConfig {
     /// exact schedule the serial search would: candidates are ranked by
     /// `(seed, scale)` and the lowest-ranked success wins.
     pub parallelism: usize,
-    /// Warm-start the allocation subset LPs along each seed's capacity-scale
-    /// ladder (default `true`).
-    ///
-    /// Scales after the first re-solve structurally identical LPs with
-    /// tighter capacities, so each subset LP is seeded from the previous
-    /// scale's optimal basis ([`crate::AllocBasisCache`]) — for these
-    /// zero-objective feasibility systems a warm hit skips the entire solve.
-    /// Feasibility *verdicts* are unaffected, and any warm-influenced
-    /// candidate that wins the walk is re-derived cold before the schedule
-    /// is emitted, so the accepted candidate and final schedule match a
-    /// `warm_start: false` compile; ladders are evaluated whole per seed,
-    /// so results stay bit-identical at any [`CompileConfig::parallelism`].
-    pub warm_start: bool,
     /// Fraction `ε ∈ [0, 1)` of link capacity held back at compile time as
     /// repair headroom: the schedulability test tightens to `U ≤ 1 − ε`
     /// and every capacity scale is multiplied by `1 − ε` during
@@ -92,8 +79,7 @@ pub struct CompileConfig {
     /// pipeline exactly.
     pub spare_capacity: f64,
     /// Message–interval allocation backend (see [`AllocEngine`]). The flow
-    /// engine sidesteps the subset LPs entirely on large fabrics; warm-start
-    /// bases are a simplex concept and are not used under it.
+    /// engine sidesteps the subset LPs entirely on large fabrics.
     pub alloc_engine: AllocEngine,
     /// Partition the platform into this many contiguous node bands
     /// ([`crate::band_partition`]) and compile hierarchically: `AssignPaths`
@@ -121,7 +107,6 @@ impl Default for CompileConfig {
             path_retry_seeds: 3,
             guard_time: 0.0,
             parallelism: 0,
-            warm_start: true,
             spare_capacity: 0.0,
             alloc_engine: AllocEngine::default(),
             partition: 0,
@@ -563,37 +548,11 @@ struct ScaleStats {
     isched: IntervalSchedStats,
 }
 
-impl ScaleStats {
-    /// Folds another candidate evaluation's work into this one — used when
-    /// a warm-influenced winner is re-derived cold, so the walk reports the
-    /// candidate's *total* work (warm probe plus cold confirmation).
-    fn absorb(&mut self, other: &ScaleStats) {
-        self.alloc.lp.merge(&other.alloc.lp);
-        self.alloc.lp_solves += other.alloc.lp_solves;
-        self.alloc.vars += other.alloc.vars;
-        self.alloc.constraints += other.alloc.constraints;
-        self.flow.solves += other.flow.solves;
-        self.flow.nodes += other.flow.nodes;
-        self.flow.arcs += other.flow.arcs;
-        self.flow.augmentations += other.flow.augmentations;
-        self.flow.dijkstra_pops += other.flow.dijkstra_pops;
-        self.flow.potential_reuse_hits += other.flow.potential_reuse_hits;
-        self.flow.fallbacks += other.flow.fallbacks;
-        self.isched.lp.merge(&other.isched.lp);
-        self.isched.lp_solves += other.isched.lp_solves;
-        self.isched.feasible_sets += other.isched.feasible_sets;
-        self.isched.arena_cells += other.isched.arena_cells;
-        self.isched.singleton_fast_paths += other.isched.singleton_fast_paths;
-    }
-}
-
 /// One seed's full evaluation: the path-assignment stage plus however much
-/// of its capacity-scale ladder [`SearchCtx::eval_ladder`] walked. Ladders
-/// are always produced whole-seed (never one scale at a time) because with
-/// [`CompileConfig::warm_start`] each rung's warm basis cache depends on the
-/// rungs before it — evaluating a seed's ladder serially inside one job
-/// keeps every outcome a deterministic function of the seed alone, so the
-/// search stays bit-identical at any parallelism.
+/// of its capacity-scale ladder [`SearchCtx::eval_ladder`] walked. A rung is
+/// only worth evaluating when every rung before it was unschedulable, so a
+/// seed's ladder is one job that walks its rungs in order and stops at the
+/// first terminal one.
 struct SeedResult {
     seed_out: SeedOutcome,
     ladder: Vec<(ScaleOutcome, ScaleStats)>,
@@ -612,7 +571,6 @@ fn add_lp_counters(rec: &dyn Recorder, prefix: &str, lp: &sr_lp::SolveStats) {
     rec.add(&format!("{prefix}.degenerate_pivots"), lp.degenerate_pivots);
     rec.add(&format!("{prefix}.bland_switches"), lp.bland_switches);
     rec.add(&format!("{prefix}.price_recomputes"), lp.price_recomputes);
-    // Sparse revised-simplex work (zero under the dense engine).
     rec.add(&format!("{prefix}.factorizations"), lp.factorizations);
     rec.add(&format!("{prefix}.refactorizations"), lp.refactorizations);
     rec.add(&format!("{prefix}.eta_vectors"), lp.eta_vectors);
@@ -701,17 +659,14 @@ impl SearchCtx<'_> {
     }
 
     /// Allocates message–interval shares at `scale` capacity and schedules
-    /// the intervals. Deterministic per `(seed artifacts, scale, cache
-    /// state)`; the returned [`ScaleStats`] are likewise deterministic and
-    /// left to the walk to report. With a basis `cache` the subset LPs are
-    /// warm-started from (and update) the previous rung's optimal bases;
-    /// `None` is the cold evaluation.
+    /// the intervals. Deterministic per `(seed artifacts, scale)`; the
+    /// returned [`ScaleStats`] are likewise deterministic and left to the
+    /// walk to report.
     fn eval_scale(
         &self,
         ev: &SeedEval,
         sidx: usize,
         si: usize,
-        cache: Option<&mut AllocBasisCache>,
         flow_ws: &mut FlowWorkspace,
     ) -> (ScaleOutcome, ScaleStats) {
         let scale = self.scales[si];
@@ -724,8 +679,8 @@ impl SearchCtx<'_> {
         // Spare capacity shrinks what the allocation may hand out; the
         // stored `capacity_scale` stays the nominal ladder value.
         let effective = scale * (1.0 - self.config.spare_capacity);
-        let allocated = match (self.config.alloc_engine, cache) {
-            (AllocEngine::Flow, _) => allocate_intervals_flow(
+        let allocated = match self.config.alloc_engine {
+            AllocEngine::Flow => allocate_intervals_flow(
                 &ev.assignment,
                 self.bounds,
                 self.activity,
@@ -736,30 +691,18 @@ impl SearchCtx<'_> {
                 &mut stats.flow,
                 &mut stats.alloc,
             ),
-            (AllocEngine::Simplex, _) if self.config.partition > 1 => {
-                allocate_intervals_partitioned(
-                    &ev.assignment,
-                    self.bounds,
-                    self.activity,
-                    self.intervals,
-                    &ev.subsets,
-                    effective,
-                    &crate::band_partition_topo(self.topo, self.config.partition),
-                    sr_par::effective_threads(self.config.parallelism),
-                    &mut stats.alloc,
-                )
-            }
-            (AllocEngine::Simplex, Some(cache)) => allocate_intervals_warm(
+            AllocEngine::Simplex if self.config.partition > 1 => allocate_intervals_partitioned(
                 &ev.assignment,
                 self.bounds,
                 self.activity,
                 self.intervals,
                 &ev.subsets,
                 effective,
-                cache,
+                &crate::band_partition_topo(self.topo, self.config.partition),
+                sr_par::effective_threads(self.config.parallelism),
                 &mut stats.alloc,
             ),
-            (AllocEngine::Simplex, None) => allocate_intervals_stats(
+            AllocEngine::Simplex => allocate_intervals_stats(
                 &ev.assignment,
                 self.bounds,
                 self.activity,
@@ -812,18 +755,10 @@ impl SearchCtx<'_> {
         (outcome, stats)
     }
 
-    /// Walks one viable seed's capacity-scale ladder in rank order,
-    /// threading the warm-basis cache from rung to rung when
-    /// [`CompileConfig::warm_start`] is set. Stops at the first terminal
-    /// rung (scheduled, allocation-infeasible, or hard error) or when the
-    /// `best` watermark proves no remaining rung can win.
-    ///
-    /// A warm-influenced rung that schedules is immediately **re-derived
-    /// cold** and the cold outcome replaces it (with both evaluations'
-    /// stats merged): the warm solve may sit on a different optimal vertex
-    /// of the same polytope, and the compile contract is that the emitted
-    /// schedule equals the `warm_start: false` one. Rung 0 needs no
-    /// confirmation — its cache is empty, so its solves are cold already.
+    /// Walks one viable seed's capacity-scale ladder in rank order. Stops
+    /// at the first terminal rung (scheduled, allocation-infeasible, or
+    /// hard error) or when the `best` watermark proves no remaining rung can
+    /// win.
     fn eval_ladder(
         &self,
         ev: &SeedEval,
@@ -831,28 +766,15 @@ impl SearchCtx<'_> {
         best: &AtomicUsize,
     ) -> Vec<(ScaleOutcome, ScaleStats)> {
         let num_scales = self.scales.len();
-        // Warm bases only exist under the flat simplex engine; with no
-        // cache the flow and partitioned ladders also skip the cold
-        // re-derivation of winners (their solves are cold by construction).
-        let mut cache = (self.config.warm_start
-            && self.config.alloc_engine == AllocEngine::Simplex
-            && self.config.partition <= 1)
-            .then(AllocBasisCache::new);
         // The flow kernel's scratch, reused across this ladder's rungs and
-        // their per-subset solves (it mirrors the basis cache above, but
-        // carries no semantic state, so it needs no cold confirmation).
+        // their per-subset solves; it carries no state between solves.
         let mut flow_ws = FlowWorkspace::new();
         let mut ladder = Vec::new();
         for si in 0..num_scales {
             if sidx * num_scales + si > best.load(Ordering::Relaxed) {
                 break;
             }
-            let (mut out, mut stats) = self.eval_scale(ev, sidx, si, cache.as_mut(), &mut flow_ws);
-            if matches!(out, ScaleOutcome::Scheduled { .. }) && si > 0 && cache.is_some() {
-                let (cold_out, cold_stats) = self.eval_scale(ev, sidx, si, None, &mut flow_ws);
-                stats.absorb(&cold_stats);
-                out = cold_out;
-            }
+            let (out, stats) = self.eval_scale(ev, sidx, si, &mut flow_ws);
             if matches!(out, ScaleOutcome::Scheduled { .. }) {
                 best.fetch_min(sidx * num_scales + si, Ordering::Relaxed);
             }
@@ -883,9 +805,8 @@ impl SearchCtx<'_> {
     /// needs that has no precomputed result is evaluated on the spot. With
     /// `threads > 1` the seeds are speculatively evaluated first by a
     /// worker pool — each job runs one seed's path assignment and then its
-    /// whole capacity-scale ladder (so the ladder's warm-basis chain stays
-    /// inside one job) — with an atomic rank watermark cancelling seeds and
-    /// ladder tails that can no longer win. Either way the walk — and hence
+    /// capacity-scale ladder — with an atomic rank watermark cancelling
+    /// seeds and ladder tails that can no longer win. Either way the walk — and hence
     /// the returned schedule or error — is identical to a fully serial
     /// search, because every seed's result is a deterministic function of
     /// its inputs.
@@ -973,8 +894,7 @@ impl SearchCtx<'_> {
             // watermark. The walk only reaches such a seed when every
             // lower-ranked candidate failed — in which case the watermark
             // that truncated it has since been proven stale — so re-derive
-            // the whole ladder (the warm-basis chain must restart from rung
-            // 0 to reproduce the serial result exactly).
+            // the ladder.
             let terminal = seed_result
                 .ladder
                 .last()

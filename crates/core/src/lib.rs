@@ -88,13 +88,11 @@ mod utilization;
 mod verify;
 
 pub use allocation_flow::{
-    allocate_intervals_flow, allocate_intervals_flow_with_kernel,
-    allocate_intervals_pinned_reserved_flow, FlowAllocStats, FlowKernel, FlowWorkspace,
+    allocate_intervals_flow, allocate_intervals_pinned_reserved_flow, FlowAllocStats, FlowWorkspace,
 };
 pub use allocation_lp::{
     allocate_intervals, allocate_intervals_partitioned, allocate_intervals_pinned_reserved,
-    allocate_intervals_stats, allocate_intervals_warm, AllocBasisCache, AllocationStats,
-    IntervalAllocation,
+    allocate_intervals_stats, AllocBasisCache, AllocationStats, IntervalAllocation,
 };
 pub use assign_paths::{
     assign_paths, assign_paths_partial, assign_paths_partitioned, assign_paths_pooled,

@@ -3,10 +3,9 @@
 
 use proptest::prelude::*;
 use sr_core::{
-    allocate_intervals, allocate_intervals_flow_with_kernel, assign_paths, assign_paths_partial,
-    assign_paths_partitioned, band_partition_topo, compile, related_subsets, schedule_intervals,
-    ActivityMatrix, AllocEngine, AllocationStats, AssignPathsConfig, CompileConfig, FlowAllocStats,
-    FlowKernel, FlowWorkspace, Intervals, PathAssignment, PathPool, UtilizationMap, EPS,
+    allocate_intervals, assign_paths, assign_paths_partial, assign_paths_partitioned,
+    band_partition_topo, compile, related_subsets, schedule_intervals, ActivityMatrix, AllocEngine,
+    AssignPathsConfig, CompileConfig, Intervals, PathAssignment, PathPool, UtilizationMap, EPS,
 };
 use sr_mapping::Allocation;
 use sr_tfg::generators::{layered_random, LayeredParams};
@@ -362,58 +361,6 @@ proptest! {
             (Err(_), Err(_)) => {}
             (Ok(_), Err(e)) => prop_assert!(false, "simplex compiled, flow failed: {e}"),
             (Err(e), Ok(_)) => prop_assert!(false, "simplex failed ({e}), flow compiled"),
-        }
-    }
-
-    /// The potential-reusing Dijkstra kernel is bit-identical to the
-    /// Bellman–Ford oracle on random subset networks: not just the same
-    /// objective, the same *allocation matrix* cell for cell. Both kernels
-    /// compute exact shortest distances and share one canonical
-    /// tight-arc predecessor extraction, so the augmenting paths — and
-    /// therefore every residual state — coincide exactly.
-    #[test]
-    fn dijkstra_kernel_matches_bellman_ford_allocations((s, _) in stage()) {
-        let topo = cube();
-        let intervals = Intervals::from_bounds(&s.bounds);
-        let activity = ActivityMatrix::new(&s.bounds, &intervals);
-        let pa = PathAssignment::lsd_to_msd(&s.tfg, &topo, &s.alloc);
-        let subsets = related_subsets(&pa, &activity);
-
-        let run = |kernel: FlowKernel| {
-            let mut ws = FlowWorkspace::new();
-            let mut stats = FlowAllocStats::default();
-            let mut lp = AllocationStats::default();
-            let r = allocate_intervals_flow_with_kernel(
-                &pa, &s.bounds, &activity, &intervals, &subsets, 1.0,
-                kernel, &mut ws, &mut stats, &mut lp,
-            );
-            (r, stats)
-        };
-        let (dk, dk_stats) = run(FlowKernel::SspDijkstra);
-        let (bf, bf_stats) = run(FlowKernel::BellmanFordOracle);
-
-        match (dk, bf) {
-            (Ok(dk), Ok(bf)) => {
-                for i in 0..s.tfg.num_messages() {
-                    for k in 0..intervals.len() {
-                        let (a, b) = (
-                            dk.allocated(MessageId(i), k),
-                            bf.allocated(MessageId(i), k),
-                        );
-                        prop_assert_eq!(
-                            a.to_bits(), b.to_bits(),
-                            "message {} interval {}: dijkstra {} vs bellman-ford {}",
-                            i, k, a, b
-                        );
-                    }
-                }
-                prop_assert_eq!(dk_stats.augmentations, bf_stats.augmentations);
-                prop_assert_eq!(bf_stats.dijkstra_pops, 0);
-                prop_assert_eq!(bf_stats.potential_reuse_hits, 0);
-            }
-            (Err(_), Err(_)) => {} // same verdict is all we require
-            (Ok(_), Err(e)) => prop_assert!(false, "dijkstra fine, oracle failed: {e}"),
-            (Err(e), Ok(_)) => prop_assert!(false, "dijkstra failed ({e}), oracle fine"),
         }
     }
 

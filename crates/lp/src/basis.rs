@@ -11,9 +11,10 @@
 //! Reuse is validated defensively (`m`/`n` signature, index range,
 //! distinctness, no artificials) but the *semantic* part of the contract —
 //! that column `j` means the same thing in both problems — is the caller's:
-//! the scheduled-routing compiler only reuses bases across the capacity-scale
-//! ladder of one candidate, where the constraint matrix is bit-identical and
-//! only the right-hand side moves.
+//! the scheduled-routing compiler only reuses bases down the capacity-scale
+//! ladder of one pinned re-allocation (fault repair, serve admission), where
+//! the constraint matrix is bit-identical and only the right-hand side
+//! moves.
 
 /// An optimal simplex basis, returned by [`crate::Problem::solve_warm`] and
 /// accepted back as its warm-start seed.

@@ -1,4 +1,4 @@
-//! A dense two-phase primal simplex solver.
+//! A sparse revised simplex LP solver.
 //!
 //! Scheduled routing needs two optimization substrates (paper §5.2–5.3):
 //! the **message–interval allocation** feasibility system (constraints
@@ -11,9 +11,18 @@
 //! * variables are non-negative reals with linear costs;
 //! * constraints are `≤`, `≥`, or `=` with arbitrary coefficients;
 //! * the objective is minimized (maximize by negating costs);
+//! * the engine is a two-phase primal revised simplex over a
+//!   column-compressed matrix, with the basis kept as a product-form
+//!   (eta-file) factorization that is refactored as it grows: the
+//!   scheduling LPs carry a handful of nonzeros per column, and a pivot
+//!   touches only those;
 //! * phase 1 drives artificial variables to zero (detecting infeasibility),
-//!   phase 2 optimizes the true objective;
-//! * Bland's rule guarantees termination (no cycling).
+//!   phase 2 optimizes the true objective; Dantzig pricing falls back to
+//!   Bland's rule after a run of degenerate pivots, so no phase cycles;
+//! * [`Problem::solve_warm`] restarts from a previous optimal [`Basis`] and
+//!   skips phase 1 when that vertex is still feasible;
+//! * [`Problem::solve_diagnosed`] returns the row duals, or a Farkas
+//!   certificate for an infeasible program.
 //!
 //! # Examples
 //!
@@ -39,11 +48,11 @@
 
 mod basis;
 mod problem;
+#[cfg(test)]
 mod simplex;
 mod sparse;
+mod stats;
 
 pub use basis::Basis;
-pub use problem::{
-    DiagnosedOutcome, LpDiagnostics, LpEngine, LpError, Problem, Relation, Solution, VarId,
-};
-pub use simplex::SolveStats;
+pub use problem::{DiagnosedOutcome, LpDiagnostics, LpError, Problem, Relation, Solution, VarId};
+pub use stats::SolveStats;

@@ -2,28 +2,8 @@ use std::error::Error;
 use std::fmt;
 
 use crate::basis::Basis;
-use crate::simplex;
-use crate::simplex::SolveStats;
 use crate::sparse;
-
-/// Which simplex engine [`Problem::solve`] runs.
-///
-/// Both engines implement the same two-phase primal simplex with identical
-/// pivot rules and tolerances, so they agree on feasibility verdicts and
-/// optimal objectives (to rounding error). The sparse engine is the default
-/// — the scheduling LPs have a handful of nonzeros per column, so the
-/// revised method with an eta-file basis does a small fraction of the dense
-/// tableau's arithmetic — while the dense engine is retained as the
-/// differential oracle for tests and benchmarks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum LpEngine {
-    /// Dense row-major tableau (PR 1 kernel). Exact full-tableau pivots.
-    Dense,
-    /// Sparse revised simplex with product-form basis factorization and
-    /// warm-start support.
-    #[default]
-    Sparse,
-}
+use crate::SolveStats;
 
 /// Index of a decision variable in a [`Problem`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -204,7 +184,7 @@ impl Problem {
         Ok(())
     }
 
-    /// Solves the program with the default engine ([`LpEngine::Sparse`]).
+    /// Solves the program with the sparse revised simplex, cold.
     ///
     /// # Errors
     ///
@@ -223,22 +203,17 @@ impl Problem {
     /// As [`Problem::solve`]. Counters reflect the work done up to the
     /// failure, but are only returned on success.
     pub fn solve_with_stats(&self) -> Result<(Solution, SolveStats), LpError> {
-        self.solve_with_engine(LpEngine::default())
+        let mut stats = SolveStats::default();
+        let out = sparse::solve(&self.min_costs(), &self.constraints, None, &mut stats)?;
+        Ok((self.finish(out.values), stats))
     }
 
-    /// Solves the program with an explicit engine choice.
-    ///
-    /// # Errors
-    ///
-    /// As [`Problem::solve`].
-    pub fn solve_with_engine(&self, engine: LpEngine) -> Result<(Solution, SolveStats), LpError> {
-        let costs = self.min_costs();
+    /// Solves the program with the dense tableau reference engine.
+    #[cfg(test)]
+    pub(crate) fn solve_dense(&self) -> Result<Solution, LpError> {
         let mut stats = SolveStats::default();
-        let values = match engine {
-            LpEngine::Dense => simplex::solve(&costs, &self.constraints, &mut stats)?,
-            LpEngine::Sparse => sparse::solve(&costs, &self.constraints, None, &mut stats)?.values,
-        };
-        Ok((self.finish(values), stats))
+        let values = crate::simplex::solve(&self.min_costs(), &self.constraints, &mut stats)?;
+        Ok(self.finish(values))
     }
 
     /// Solves with the sparse engine, optionally warm-starting from the

@@ -1,4 +1,8 @@
-//! The dense two-phase simplex engine behind [`Problem::solve`].
+//! The dense two-phase tableau simplex: the differential reference the
+//! sparse revised engine ([`crate::sparse`]) is tested against. It shares
+//! the sparse engine's pivot rules and tolerances, so on every test
+//! instance the two must agree on status and objective; it is compiled
+//! into test builds only.
 //!
 //! The tableau is a single contiguous row-major buffer ([`Tableau`]) so the
 //! pivot inner loops stream linearly through memory, and each phase keeps a
@@ -10,68 +14,9 @@
 //! anti-cycling guarantee. Apparent optimality is always confirmed against
 //! exactly recomputed reduced costs, so cache drift cannot terminate a
 //! phase early.
-//!
-//! [`Problem::solve`]: crate::Problem::solve
 
 use crate::problem::{Constraint, LpError, Relation};
-
-/// Work counters from one simplex solve, exposed via
-/// [`crate::Problem::solve_with_stats`].
-///
-/// All fields are exact operation counts, so for a fixed problem they are
-/// deterministic — the scheduled-routing compiler sums them across its
-/// candidate walk and reports them as thread-count-independent metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolveStats {
-    /// Total Gauss–Jordan pivots (both phases, plus driving leftover
-    /// artificials out of the basis).
-    pub pivots: u64,
-    /// Pivots spent in phase 1 (artificial elimination).
-    pub phase1_pivots: u64,
-    /// Pivots whose ratio test was (near-)zero — degenerate steps.
-    pub degenerate_pivots: u64,
-    /// Times Dantzig pricing stalled and the phase fell back to Bland's
-    /// rule.
-    pub bland_switches: u64,
-    /// Exact reduced-cost recomputations. For the dense engine these are
-    /// Dantzig cache rebuilds (phase entry, optimality confirmation, Bland
-    /// restarts); the sparse engine prices exactly every iteration, so
-    /// there it counts BTRAN pricing passes.
-    pub price_recomputes: u64,
-    /// Sparse engine: fresh basis factorizations (cold/warm starts plus
-    /// refactorizations). Always 0 for the dense engine.
-    pub factorizations: u64,
-    /// Sparse engine: mid-solve refactorizations triggered by eta-file
-    /// growth.
-    pub refactorizations: u64,
-    /// Sparse engine: eta vectors created (factorization + pivot updates).
-    pub eta_vectors: u64,
-    /// Sparse engine: total nonzeros stored across all eta vectors — the
-    /// fill-in the factorization paid for.
-    pub eta_nonzeros: u64,
-    /// Sparse engine: warm starts whose supplied basis was factorable and
-    /// primal feasible for the new right-hand side (phase 1 skipped).
-    pub warm_hits: u64,
-    /// Sparse engine: warm starts that fell back to a cold start.
-    pub warm_misses: u64,
-}
-
-impl SolveStats {
-    /// Accumulates another solve's counters into this one.
-    pub fn merge(&mut self, other: &SolveStats) {
-        self.pivots += other.pivots;
-        self.phase1_pivots += other.phase1_pivots;
-        self.degenerate_pivots += other.degenerate_pivots;
-        self.bland_switches += other.bland_switches;
-        self.price_recomputes += other.price_recomputes;
-        self.factorizations += other.factorizations;
-        self.refactorizations += other.refactorizations;
-        self.eta_vectors += other.eta_vectors;
-        self.eta_nonzeros += other.eta_nonzeros;
-        self.warm_hits += other.warm_hits;
-        self.warm_misses += other.warm_misses;
-    }
-}
+use crate::SolveStats;
 
 /// Pivot tolerance: entries smaller than this are treated as zero.
 const PIVOT_EPS: f64 = 1e-9;
@@ -422,6 +367,8 @@ fn run_phase(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Problem, VarId};
+    use proptest::prelude::*;
 
     /// Shadows the crate-level `solve` for tests that don't care about
     /// stats (explicit items take precedence over the glob import).
@@ -561,5 +508,68 @@ mod tests {
         assert!(obj > 0.0 && obj <= costs.iter().sum::<f64>() + 1e-9);
         // All upper bounds respected.
         assert!(v.iter().all(|&x| x <= 1.0 + 1e-7));
+    }
+
+    /// A boxed program built around a known feasible point: every row holds
+    /// at the point (with a random margin), so neither engine may report it
+    /// infeasible or unbounded.
+    fn known_feasible() -> impl Strategy<Value = Problem> {
+        (1usize..5).prop_flat_map(|n| {
+            let costs = prop::collection::vec(-5.0f64..5.0, n);
+            let point = prop::collection::vec(0.0f64..10.0, n);
+            let rows = prop::collection::vec(
+                (
+                    prop::collection::vec(-3.0f64..3.0, n),
+                    prop_oneof![Just(Relation::Le), Just(Relation::Ge), Just(Relation::Eq)],
+                    0.0f64..4.0,
+                ),
+                1..6,
+            );
+            (costs, point, rows).prop_map(|(costs, point, rows)| {
+                let mut p = Problem::minimize();
+                let vars: Vec<VarId> = costs.iter().map(|&c| p.add_var(c)).collect();
+                for (coeffs, rel, margin) in rows {
+                    let lhs: f64 = coeffs.iter().zip(&point).map(|(a, x)| a * x).sum();
+                    let rhs = match rel {
+                        Relation::Le => lhs + margin,
+                        Relation::Ge => lhs - margin,
+                        Relation::Eq => lhs,
+                    };
+                    let terms: Vec<(VarId, f64)> = vars.iter().copied().zip(coeffs).collect();
+                    p.add_constraint(&terms, rel, rhs).expect("valid row");
+                }
+                for &v in &vars {
+                    p.add_constraint(&[(v, 1.0)], Relation::Le, 10.0)
+                        .expect("valid bound");
+                }
+                p
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The dense tableau and the sparse revised engine share their pivot
+        /// rules, so they must agree on feasibility status, produce feasible
+        /// points, and reach objectives equal to within accumulated rounding
+        /// (the 1e-9 differential-oracle contract).
+        #[test]
+        fn dense_and_sparse_engines_agree(p in known_feasible()) {
+            match (p.solve_dense(), p.solve()) {
+                (Ok(d), Ok(s)) => {
+                    prop_assert!(p.is_feasible(d.values(), 1e-5),
+                        "dense point infeasible: {:?}", d.values());
+                    prop_assert!(p.is_feasible(s.values(), 1e-5),
+                        "sparse point infeasible: {:?}", s.values());
+                    let tol = 1e-9 * (1.0 + d.objective().abs());
+                    prop_assert!((d.objective() - s.objective()).abs() <= tol,
+                        "objectives diverged: dense {} vs sparse {}",
+                        d.objective(), s.objective());
+                }
+                (Err(x), Err(y)) => prop_assert_eq!(x, y),
+                (a, b) => prop_assert!(false, "engine status diverged: {a:?} vs {b:?}"),
+            }
+        }
     }
 }

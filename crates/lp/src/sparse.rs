@@ -8,10 +8,11 @@
 //! a sequence of *eta* vectors `E_1 … E_K` with `B⁻¹ = E_K⁻¹ ⋯ E_1⁻¹` —
 //! refreshed by refactorization when the file grows past
 //! `max(16, m/4)` update etas. Pivot *rules* deliberately mirror the dense
-//! engine (Dantzig pricing with ascending-index tie-break, Bland fallback
-//! after the same stall limit, ratio-test ties to the smallest basic index,
-//! identical `PIVOT_EPS`/`FEAS_EPS`), so on non-degenerate instances both
-//! engines walk the same vertex sequence and agree to rounding error.
+//! tableau the unit tests keep as a reference (Dantzig pricing with
+//! ascending-index tie-break, Bland fallback after the same stall limit,
+//! ratio-test ties to the smallest basic index, identical
+//! `PIVOT_EPS`/`FEAS_EPS`), so on non-degenerate instances both engines
+//! walk the same vertex sequence and agree to rounding error.
 //!
 //! Pricing recomputes `y = Bᵀ⁻¹ c_B` fresh every iteration (a sparse BTRAN
 //! over the eta file), so there is no incremental-cache drift and apparent
@@ -23,7 +24,7 @@
 //! stale basis degrades to a cold solve, never a wrong answer.
 
 use crate::problem::{Constraint, LpError, Relation};
-use crate::simplex::SolveStats;
+use crate::SolveStats;
 
 /// Pivot tolerance, identical to the dense engine.
 const PIVOT_EPS: f64 = 1e-9;

@@ -1,8 +1,8 @@
 //! Synthetic task-flow graph generators.
 //!
-//! These produce the auxiliary workloads used in tests, examples, and the
-//! ablation benchmarks: deterministic shapes (chains, diamonds, fan-out) and
-//! seeded random layered DAGs.
+//! These produce the auxiliary workloads used in tests and examples:
+//! deterministic shapes (chains, diamonds, fan-out) and seeded random
+//! layered DAGs.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

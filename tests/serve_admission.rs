@@ -6,7 +6,7 @@
 //! The warm-path latency itself is measured by the `admission_latency`
 //! bench (BENCH_serve.json); this test asserts a generous wall-clock bound
 //! by default and the strict sub-millisecond budget when
-//! `SR_STRICT_TIMING=1` (set on release-built CI bench hardware).
+//! `SR_STRICT_TIMING=1` (set by CI's release-built run of this test).
 
 use std::collections::BTreeMap;
 use std::time::Instant;
