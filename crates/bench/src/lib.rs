@@ -326,7 +326,7 @@ pub fn figure_performance(platform: &Platform, sim: &SimConfig) -> Vec<Performan
                 utilization: sched.peak_utilization(),
             }
         })
-        .map_err(|e| failure_stage(&e));
+        .map_err(|e| e.status());
 
         PerformancePoint {
             load,
@@ -338,17 +338,6 @@ pub fn figure_performance(platform: &Platform, sim: &SimConfig) -> Vec<Performan
             sr,
         }
     })
-}
-
-fn failure_stage(e: &CompileError) -> String {
-    match e {
-        CompileError::UtilizationExceeded { utilization } => {
-            format!("U={utilization:.2}>1")
-        }
-        CompileError::AllocationInfeasible { .. } => "alloc-infeasible".into(),
-        CompileError::IntervalUnschedulable { .. } => "interval-unsched".into(),
-        other => format!("{other}"),
-    }
 }
 
 /// Renders a utilization series as a Markdown table (Figs. 5–6 rows).

@@ -754,14 +754,7 @@ pub fn run(opts: &Options, out: &mut dyn fmt::Write) -> Result<(), Box<dyn Error
                     &compile_config(opts),
                 ) {
                     Ok(s) => format!("ok (U={:.2})", s.peak_utilization()),
-                    Err(e) => match e {
-                        CompileError::UtilizationExceeded { utilization } => {
-                            format!("U={utilization:.2}>1")
-                        }
-                        CompileError::AllocationInfeasible { .. } => "alloc-infeasible".into(),
-                        CompileError::IntervalUnschedulable { .. } => "interval-unsched".into(),
-                        other => format!("{other}"),
-                    },
+                    Err(e) => e.status(),
                 };
                 writeln!(out, "{load:<8.3} {wr:<26} {sr:<12}")?;
             }

@@ -10,10 +10,10 @@ use crate::diagnosis::{CandidateOutcome, CandidateRecord, Diagnosis};
 use crate::interval_sched::schedule_intervals_guarded_stats;
 use crate::{
     allocate_intervals_flow, allocate_intervals_partitioned, allocate_intervals_stats,
-    assign_paths_pooled, build_node_schedules, related_subsets, ActivityMatrix, AllocationStats,
-    AssignPathsConfig, CompileError, FlowAllocStats, FlowWorkspace, IntervalAllocation,
-    IntervalSchedStats, IntervalSchedule, Intervals, NodeSchedule, PathAssignment, PathPool,
-    PeakCertificate, Segment, UtilizationMap,
+    assign_paths_pooled, node_schedules_of, related_subsets, segments_of, ActivityMatrix,
+    AllocationStats, AssignPathsConfig, CompileError, FlowAllocStats, FlowWorkspace,
+    IntervalAllocation, IntervalSchedStats, IntervalSchedule, Intervals, NodeSchedule,
+    PathAssignment, PathPool, PeakCertificate, Segment, UtilizationMap,
 };
 
 /// Backend for the message–interval allocation stage.
@@ -114,8 +114,12 @@ impl Default for CompileConfig {
     }
 }
 
-/// A compiled communication schedule `Ω` and every artifact that produced
-/// it.
+/// A compiled communication schedule and every artifact that produced it.
+///
+/// The schedule keeps its message segments; the node switching schedules
+/// `Ω` that ship to the communication processors are a pure function of
+/// the segments and the path assignment, derived on each call to
+/// [`Schedule::node_schedules`] and never stored.
 ///
 /// Produced by [`compile`]; replayable/checkable with [`crate::verify`].
 /// When compilation succeeds, the multicomputer sustains exactly one TFG
@@ -131,7 +135,7 @@ pub struct Schedule {
     pub(crate) allocation: IntervalAllocation,
     pub(crate) interval_schedules: Vec<IntervalSchedule>,
     pub(crate) segments: Vec<Segment>,
-    pub(crate) node_schedules: Vec<NodeSchedule>,
+    pub(crate) num_nodes: usize,
     pub(crate) peak_utilization: f64,
     pub(crate) baseline_peak: f64,
     pub(crate) peak_lower_bound: f64,
@@ -208,18 +212,12 @@ impl Schedule {
         &self.segments
     }
 
-    /// All node switching schedules, indexable by node.
-    pub fn node_schedules(&self) -> &[NodeSchedule] {
-        &self.node_schedules
-    }
-
-    /// The switching schedule `ω_i` of one node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn node_schedule(&self, node: NodeId) -> &NodeSchedule {
-        &self.node_schedules[node.index()]
+    /// The node switching schedules `Ω`, derived from the segments and the
+    /// path assignment on each call ([`crate::node_schedules_of`]): one per
+    /// node of the fabric, idle nodes included, indexable by node, each
+    /// node's commands sorted by start and then message.
+    pub fn node_schedules(&self) -> Vec<NodeSchedule> {
+        node_schedules_of(&self.segments, &self.assignment, self.num_nodes)
     }
 
     /// The message–interval allocation capacity scale that succeeded (1.0
@@ -240,10 +238,9 @@ impl Schedule {
     /// This is the assembly step of incremental repair: after the affected
     /// messages have been re-routed (`assignment`), re-allocated
     /// (`allocation`), and re-packed (`interval_schedules`), the segments
-    /// and node switching schedules `Ω` are re-derived and the peak
-    /// utilization recomputed. Slices that were kept verbatim produce
-    /// bit-identical segments and commands, so unaffected messages' Ω
-    /// entries do not move.
+    /// are re-derived and the peak utilization recomputed. Slices that were
+    /// kept verbatim produce bit-identical segments, so the `Ω` entries of
+    /// unaffected messages, derived from them on demand, do not move.
     ///
     /// The caller is responsible for the artifacts' mutual consistency;
     /// run [`crate::verify`] (or [`crate::verify_with_faults`]) on the
@@ -255,8 +252,7 @@ impl Schedule {
         interval_schedules: Vec<IntervalSchedule>,
         topo: &dyn Topology,
     ) -> Schedule {
-        let (segments, node_schedules) =
-            build_node_schedules(&assignment, &interval_schedules, topo);
+        let segments = segments_of(&interval_schedules);
         let peak_utilization = UtilizationMap::compute(
             &assignment,
             &self.bounds,
@@ -274,7 +270,7 @@ impl Schedule {
             allocation,
             interval_schedules,
             segments,
-            node_schedules,
+            num_nodes: self.num_nodes,
             peak_utilization,
             baseline_peak: self.baseline_peak,
             peak_lower_bound: 0.0,
@@ -940,8 +936,7 @@ impl SearchCtx<'_> {
                             format!("winner at rank {rank}, peak utilization {:.3}", ev.peak),
                         );
                         let span = sr_obs::span(rec, "phase.build_node_schedules");
-                        let (segments, node_schedules) =
-                            build_node_schedules(&ev.assignment, &interval_schedules, self.topo);
+                        let segments = segments_of(&interval_schedules);
                         drop(span);
                         return Ok(Schedule {
                             period: self.period,
@@ -955,7 +950,7 @@ impl SearchCtx<'_> {
                             allocation,
                             interval_schedules,
                             segments,
-                            node_schedules,
+                            num_nodes: self.topo.num_nodes(),
                             capacity_scale: self.scales[si],
                             guard_time: self.config.guard_time,
                         });
@@ -1422,7 +1417,7 @@ mod tests {
             &topo,
         );
         assert_eq!(patched.segments, sched.segments);
-        assert_eq!(patched.node_schedules, sched.node_schedules);
+        assert_eq!(patched.node_schedules(), sched.node_schedules());
         assert_eq!(patched.peak_utilization, sched.peak_utilization);
         assert_eq!(patched.period, sched.period);
         crate::verify(&patched, &topo, &tfg).expect("patched identity verifies");

@@ -70,6 +70,29 @@ pub enum CompileError {
     },
 }
 
+impl CompileError {
+    /// The short status a load sweep prints for a compile this error
+    /// rejected: `U=<peak>>1` with the peak rounded *up* to hundredths (one
+    /// that fails by less than 0.005 must not read `1.00`),
+    /// `alloc-infeasible`, `interval-unsched`, or else the full message.
+    pub fn status(&self) -> String {
+        match self {
+            CompileError::UtilizationExceeded { utilization } => {
+                let hundredths = (utilization * 100.0).round();
+                let up = if hundredths / 100.0 < *utilization {
+                    hundredths + 1.0
+                } else {
+                    hundredths
+                };
+                format!("U={:.2}>1", up / 100.0)
+            }
+            CompileError::AllocationInfeasible { .. } => "alloc-infeasible".into(),
+            CompileError::IntervalUnschedulable { .. } => "interval-unsched".into(),
+            other => other.to_string(),
+        }
+    }
+}
+
 impl fmt::Display for CompileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -160,6 +183,15 @@ pub enum VerifyError {
         /// Time required, µs.
         required: f64,
     },
+    /// Two segments of one message overlap: the later starts more than
+    /// `EPS` before the earlier ends, so the message would be counted
+    /// complete for time it spends transmitting twice at once.
+    SelfOverlap {
+        /// The offending message.
+        message: MessageId,
+        /// Start of the later segment, µs.
+        at: f64,
+    },
     /// A segment lies (partly) outside the message's release/deadline spans.
     OutsideWindow {
         /// The offending message.
@@ -208,6 +240,9 @@ impl fmt::Display for VerifyError {
                 f,
                 "{message} scheduled for {scheduled:.3} µs of {required:.3} µs"
             ),
+            VerifyError::SelfOverlap { message, at } => {
+                write!(f, "{message} overlaps its own transmission at t={at:.3} µs")
+            }
             VerifyError::OutsideWindow {
                 message,
                 start,
@@ -251,6 +286,30 @@ mod tests {
             required: 2.0,
         };
         assert!(v.to_string().contains("M2"));
+        let v = VerifyError::SelfOverlap {
+            message: MessageId(3),
+            at: 2.5,
+        };
+        assert_eq!(
+            v.to_string(),
+            "M3 overlaps its own transmission at t=2.500 µs"
+        );
+    }
+
+    /// A U that fails by less than half a hundredth still reads as failing,
+    /// and one on a hundredth prints as itself.
+    #[test]
+    fn status_rounds_a_failing_utilization_up() {
+        let status = |utilization| CompileError::UtilizationExceeded { utilization }.status();
+        assert_eq!(status(1.004), "U=1.01>1");
+        assert_eq!(status(1.0001), "U=1.01>1");
+        assert_eq!(status(1.08), "U=1.08>1");
+        assert_eq!(status(1.2345), "U=1.24>1");
+        let other = CompileError::TooManyFeasibleSets {
+            interval: 2,
+            cap: 9,
+        };
+        assert_eq!(other.status(), other.to_string());
     }
 
     #[test]

@@ -83,7 +83,7 @@ impl Schedule {
             );
         }
         s.push_str("],\"nodes\":[");
-        for (n, ns) in self.node_schedules.iter().enumerate() {
+        for (n, ns) in self.node_schedules().iter().enumerate() {
             if n > 0 {
                 s.push(',');
             }

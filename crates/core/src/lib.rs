@@ -31,10 +31,13 @@
 //!    several links *simultaneously* are packed into **link-feasible sets**
 //!    (independent sets of the link-conflict graph) whose total time is
 //!    LP-minimized after \[BDW86\] — [`schedule_intervals`].
-//! 6. **Switching schedules** — the timed slices become per-node crossbar
+//! 6. **Switching schedules** — the timed slices become message segments
+//!    ([`segments_of`]), which a [`Schedule`] keeps. The per-node crossbar
 //!    command lists `ω_i` ([`NodeSchedule`]), collectively the communication
-//!    schedule `Ω` ([`Schedule`]), which [`verify`] replays to prove
-//!    contention-freedom, window compliance, and completeness.
+//!    schedule `Ω`, are derived from the segments and paths where they are
+//!    read ([`Schedule::node_schedules`], [`node_schedules_of`]), never
+//!    stored; [`verify`] replays the segments and the `Ω` derived from them
+//!    to prove contention-freedom, window compliance, and completeness.
 //!
 //! The one-call entry point is [`compile`].
 //!
@@ -66,6 +69,7 @@ mod allocation_lp;
 mod assign_paths;
 mod assignment;
 mod besteffort;
+mod buckets;
 mod compile;
 mod damage;
 mod diagnosis;
@@ -124,7 +128,10 @@ pub use repack::{
 pub use replay::replay_events;
 pub use subsets::related_subsets;
 pub use summary::ScheduleSummary;
-pub use switching::{build_node_schedules, Command, Connection, NodeSchedule, Port, Segment};
+pub use switching::{
+    build_node_schedules, node_schedules_of, segments_of, Command, Connection, NodeSchedule, Port,
+    Segment,
+};
 pub use utilization::{Hotspot, UtilizationMap};
 pub use verify::{verify, verify_with_faults};
 

@@ -87,6 +87,8 @@ pub struct ServeConfig {
     pub reroute_busy_threshold: f64,
     /// Per-tenant memo capacity (standalone compiles + simplex bases kept
     /// across evictions). Least-recently-used entries are dropped.
+    /// `srsched serve` has no flag for it and runs with the default; set it
+    /// on the config when embedding an [`Engine`].
     pub memo_capacity: usize,
     /// Worker threads for batch-admission standalone compiles (`0` = one
     /// per hardware thread, `1` = serial).

@@ -67,7 +67,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 6. …realized by crossbar commands each node executes independently.
+    // 6. …realized by crossbar commands each node executes independently,
+    //    derived from the segments and paths when asked for.
     println!("\nswitching schedules (non-idle nodes):");
     for ns in schedule.node_schedules() {
         if ns.is_idle() {

@@ -1,6 +1,7 @@
 //! Round-trip test for [`Schedule::to_json`]: parse the exported JSON back
 //! with the workspace's reader (`sr::obs::json`) and compare every field
-//! against the live schedule's summary and switching tables.
+//! against the live schedule's summary and switching tables, and pin one
+//! export byte for byte (`tests/golden/export_diamond3_cube3.json`).
 
 use sr::obs::json::{parse, Json};
 use sr::prelude::*;
@@ -95,14 +96,16 @@ fn json_roundtrips_against_the_live_schedule() {
 
     // Nodes: array index == node id, commands match the switching tables.
     let nodes = doc.at("nodes").arr();
-    assert_eq!(nodes.len(), sched.node_schedules().len());
+    let omega = sched.node_schedules();
+    assert_eq!(nodes.len(), omega.len());
     let port = |p: sr::core::Port| match p {
         sr::core::Port::Processor => "processor".to_string(),
         sr::core::Port::Link(l) => format!("link:{}", l.index()),
     };
     for (n, entry) in nodes.iter().enumerate() {
         assert_eq!(entry.at("node").num() as usize, n);
-        let ns = sched.node_schedule(NodeId(n));
+        let ns = &omega[n];
+        assert_eq!(ns.node(), NodeId(n));
         let cmds = entry.at("commands").arr();
         assert_eq!(cmds.len(), ns.commands().len(), "command count on N{n}");
         for (c, want) in cmds.iter().zip(ns.commands()) {
@@ -129,5 +132,38 @@ fn number_formats_are_lossless() {
     assert_eq!(
         doc.at("latency_us").num().to_bits(),
         sched.latency().to_bits()
+    );
+}
+
+/// The export of diamond(3) on the binary 3-cube at τ_in = 75 µs, byte for
+/// byte: every message's path and segments and every node's switching
+/// commands, idle nodes included. The golden was written while a
+/// `Schedule` still stored `Ω` beside its segments; the export now derives
+/// it.
+#[test]
+fn diamond_export_matches_golden() {
+    let topo = GeneralizedHypercube::binary(3).unwrap();
+    let tfg = sr::tfg::generators::diamond(3, 500, 1280);
+    let alloc = sr::mapping::greedy(&tfg, &topo);
+    let timing = Timing::new(64.0, 10.0);
+    let sched = compile(
+        &topo,
+        &tfg,
+        &alloc,
+        &timing,
+        75.0,
+        &CompileConfig::default(),
+    )
+    .expect("compiles");
+    let golden_path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/export_diamond3_cube3.json"
+    );
+    let want = std::fs::read_to_string(golden_path).expect("golden file exists");
+    let got = format!("{}\n", sched.to_json());
+    assert!(
+        got == want,
+        "export drifted from {golden_path}; if the change is intentional, \
+         update the golden file to:\n{got}"
     );
 }

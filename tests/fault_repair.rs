@@ -92,7 +92,11 @@ fn one_failed_link_repairs_and_pins_everything_else() {
             .copied()
             .collect()
     };
-    for (old, new) in sched.node_schedules().iter().zip(repaired.node_schedules()) {
+    for (old, new) in sched
+        .node_schedules()
+        .iter()
+        .zip(&repaired.node_schedules())
+    {
         assert_eq!(old.node(), new.node());
         assert_eq!(omega_of(old), omega_of(new), "Ω drifted on {}", old.node());
     }

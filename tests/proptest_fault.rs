@@ -97,7 +97,7 @@ proptest! {
                 let segs = |s: &Schedule| s.segments().iter()
                     .filter(|seg| pinned.contains(&seg.message)).copied().collect::<Vec<_>>();
                 prop_assert_eq!(segs(&sched), segs(repaired));
-                for (old, new) in sched.node_schedules().iter().zip(repaired.node_schedules()) {
+                for (old, new) in sched.node_schedules().iter().zip(&repaired.node_schedules()) {
                     let omega = |ns: &sr::core::NodeSchedule| ns.commands().iter()
                         .filter(|c| pinned.contains(&c.message)).copied().collect::<Vec<_>>();
                     prop_assert_eq!(omega(old), omega(new));
