@@ -549,7 +549,7 @@ pub fn run(opts: &Options, out: &mut dyn fmt::Write) -> Result<(), Box<dyn Error
                         s.peak_utilization(),
                         s.baseline_peak_utilization()
                     )?;
-                    let sum = s.summary(topo.as_ref());
+                    let sum = s.summary();
                     writeln!(
                         out,
                         "  segments    : {} ({} commands on {} CPs)",

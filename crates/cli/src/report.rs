@@ -20,8 +20,10 @@
 //! the file can be archived as a CI artifact and opened anywhere. The
 //! document's tag skeleton is pinned by a golden test via [`structure`].
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use sr::core::Segment;
 use sr::obs::OiReport;
 use sr::prelude::*;
 
@@ -138,23 +140,25 @@ fn overview_section(h: &mut String, inp: &ReportInput<'_>) {
 
 fn gantt_section(h: &mut String, inp: &ReportInput<'_>) {
     let s = inp.sched;
-    // One row per traffic-carrying link.
-    let busy_links: Vec<LinkId> = (0..inp.topo.num_links())
-        .map(LinkId)
-        .filter(|&l| !s.link_busy_spans(l).is_empty())
-        .collect();
+    // One row per traffic-carrying link, its segments gathered in one pass.
+    let mut rows: BTreeMap<LinkId, Vec<&Segment>> = BTreeMap::new();
+    for seg in s.segments() {
+        for &l in s.assignment().links(seg.message) {
+            rows.entry(l).or_default().push(seg);
+        }
+    }
     h.push_str("<section id=\"gantt\">\n<h2>Link occupancy over the [0, τ_in) frame</h2>\n");
     let _ = writeln!(
         h,
         "<p>{} of {} links carry traffic; one rect per scheduled segment, colored by message.</p>",
-        busy_links.len(),
+        rows.len(),
         inp.topo.num_links()
     );
-    let height = ROW_H * (busy_links.len() + 1) + 6;
+    let height = ROW_H * (rows.len() + 1) + 6;
     let _ = writeln!(h, "<svg class=\"gantt\" viewBox=\"0 0 {WIDTH} {height}\">");
     let plot_w = WIDTH - LABEL_W;
     let scale = plot_w as f64 / inp.period;
-    for (r, &link) in busy_links.iter().enumerate() {
+    for (r, (&link, segments)) in rows.iter().enumerate() {
         let y = r * ROW_H + 4;
         let (a, b) = inp.topo.link_endpoints(link);
         let _ = writeln!(
@@ -167,10 +171,7 @@ fn gantt_section(h: &mut String, inp: &ReportInput<'_>) {
             "<rect x=\"{LABEL_W}\" y=\"{y}\" width=\"{plot_w}\" height=\"{}\" fill=\"#f4f4f4\"/>",
             ROW_H - 3
         );
-        for seg in s.segments() {
-            if !s.assignment().links(seg.message).contains(&link) {
-                continue;
-            }
+        for seg in segments {
             let x = LABEL_W as f64 + seg.start * scale;
             let w = ((seg.end - seg.start) * scale).max(1.0);
             let _ = writeln!(
@@ -186,7 +187,7 @@ fn gantt_section(h: &mut String, inp: &ReportInput<'_>) {
         }
     }
     // Frame axis: 0 and τ_in.
-    let axis_y = busy_links.len() * ROW_H + 14;
+    let axis_y = rows.len() * ROW_H + 14;
     let _ = writeln!(
         h,
         "<text x=\"{LABEL_W}\" y=\"{axis_y}\" font-size=\"11\">0 µs</text>"

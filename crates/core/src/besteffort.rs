@@ -5,10 +5,12 @@
 //! best-effort messages can be admitted online into provably idle windows
 //! without perturbing a single scheduled transmission.
 
+use std::collections::BTreeMap;
+
 use sr_tfg::Timing;
 use sr_topology::{LinkId, NodeId, Path, Topology};
 
-use crate::{Schedule, EPS};
+use crate::{cmp_span, coalesce, intersect, Schedule, EPS};
 
 /// A clear-path reservation granted to a best-effort message: during
 /// `[start, start + duration]` every link of `path` is idle in the compiled
@@ -32,79 +34,49 @@ impl BestEffortGrant {
 }
 
 impl Schedule {
-    /// The busy spans of `link` within one period frame, merged and
-    /// ascending: every `[start, end]` in which a scheduled message
-    /// occupies the link.
-    pub fn link_busy_spans(&self, link: LinkId) -> Vec<(f64, f64)> {
-        let mut spans: Vec<(f64, f64)> = self
-            .segments
-            .iter()
-            .filter(|s| self.assignment.links(s.message).contains(&link))
-            .map(|s| (s.start, s.end))
-            .collect();
-        spans.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut merged: Vec<(f64, f64)> = Vec::with_capacity(spans.len());
-        for (s, e) in spans {
-            match merged.last_mut() {
-                Some(last) if s <= last.1 + EPS => last.1 = last.1.max(e),
-                _ => merged.push((s, e)),
+    /// Every link's busy row within one period frame, in one pass over the
+    /// segments: each segment's `[start, end]` on every link of its
+    /// message's path (the paper's circuit model — a slice occupies all
+    /// links of the path simultaneously), sorted by [`cmp_span`] and
+    /// merged by [`coalesce`]. Links that carry nothing have no row.
+    pub fn busy_spans(&self) -> BTreeMap<LinkId, Vec<(f64, f64)>> {
+        let mut out: BTreeMap<LinkId, Vec<(f64, f64)>> = BTreeMap::new();
+        for seg in &self.segments {
+            for &l in self.assignment.links(seg.message) {
+                out.entry(l).or_default().push((seg.start, seg.end));
             }
         }
-        merged
-    }
-
-    /// The idle windows of `link` within one period frame: the complement
-    /// of [`Schedule::link_busy_spans`] in `[0, τ_in]`, with the schedule's
-    /// guard time shaved off both ends of every window (a best-effort
-    /// transfer needs the same switching margin as scheduled traffic).
-    pub fn link_idle_windows(&self, link: LinkId) -> Vec<(f64, f64)> {
-        let guard = self.guard_time;
-        let mut windows = Vec::new();
-        let mut cursor = 0.0;
-        for (s, e) in self.link_busy_spans(link) {
-            if s - cursor > EPS {
-                windows.push((cursor, s));
-            }
-            cursor = cursor.max(e);
+        for spans in out.values_mut() {
+            spans.sort_by(cmp_span);
+            coalesce(spans);
         }
-        if self.period - cursor > EPS {
-            windows.push((cursor, self.period));
-        }
-        windows
-            .into_iter()
-            .filter_map(|(s, e)| {
-                let s = s + guard;
-                let e = e - guard;
-                (e - s > EPS).then_some((s, e))
-            })
-            .collect()
-    }
-
-    /// Fraction of the frame in which `link` is idle (1.0 for unused
-    /// links).
-    pub fn link_idle_fraction(&self, link: LinkId) -> f64 {
-        let busy: f64 = self.link_busy_spans(link).iter().map(|(s, e)| e - s).sum();
-        1.0 - busy / self.period
+        out
     }
 }
 
-/// Intersects two ascending disjoint span lists.
-fn intersect(a: &[(f64, f64)], b: &[(f64, f64)]) -> Vec<(f64, f64)> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let s = a[i].0.max(b[j].0);
-        let e = a[i].1.min(b[j].1);
-        if e - s > EPS {
-            out.push((s, e));
+/// The idle windows a busy row leaves in the frame `[0, period]`, with
+/// `guard` shaved off both ends of every window (a best-effort transfer
+/// needs the same switching margin as scheduled traffic).
+fn idle_windows(busy: &[(f64, f64)], period: f64, guard: f64) -> Vec<(f64, f64)> {
+    let mut windows = Vec::new();
+    let mut cursor = 0.0;
+    for &(s, e) in busy {
+        if s - cursor > EPS {
+            windows.push((cursor, s));
         }
-        if a[i].1 < b[j].1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
+        cursor = cursor.max(e);
     }
-    out
+    if period - cursor > EPS {
+        windows.push((cursor, period));
+    }
+    windows
+        .into_iter()
+        .filter_map(|(s, e)| {
+            let s = s + guard;
+            let e = e - guard;
+            (e - s > EPS).then_some((s, e))
+        })
+        .collect()
 }
 
 /// Admits an aperiodic best-effort message of `bytes` from `src` to `dst`
@@ -138,12 +110,15 @@ pub fn admit_best_effort(
             duration: 0.0,
         });
     }
+    let busy = schedule.busy_spans();
+    let (period, guard) = (schedule.period(), schedule.guard_time());
     let mut best: Option<BestEffortGrant> = None;
     for path in topo.shortest_paths(src, dst, path_cap.max(1)) {
         let links = path.links(topo);
-        let mut free = vec![(0.0, schedule.period())];
+        let mut free = vec![(0.0, period)];
         for l in &links {
-            free = intersect(&free, &schedule.link_idle_windows(*l));
+            let row = busy.get(l).map_or(&[][..], Vec::as_slice);
+            free = intersect(&free, &idle_windows(row, period, guard));
             if free.is_empty() {
                 break;
             }
@@ -193,11 +168,12 @@ mod tests {
     #[test]
     fn busy_and_idle_partition_the_frame() {
         let (topo, _, _, sched) = compiled();
+        let rows = sched.busy_spans();
         for l in 0..sr_topology::Topology::num_links(&topo) {
             let link = LinkId(l);
-            let busy: f64 = sched.link_busy_spans(link).iter().map(|(s, e)| e - s).sum();
-            let idle: f64 = sched
-                .link_idle_windows(link)
+            let row = rows.get(&link).map_or(&[][..], Vec::as_slice);
+            let busy: f64 = row.iter().map(|(s, e)| e - s).sum();
+            let idle: f64 = idle_windows(row, sched.period(), sched.guard_time())
                 .iter()
                 .map(|(s, e)| e - s)
                 .sum();
@@ -206,20 +182,21 @@ mod tests {
                 "link {link}: busy {busy} + idle {idle} != {}",
                 sched.period()
             );
-            assert!((sched.link_idle_fraction(link) - idle / sched.period()).abs() < 1e-9);
         }
     }
 
     #[test]
     fn unused_link_is_fully_idle() {
         let (topo, _, _, sched) = compiled();
+        let rows = sched.busy_spans();
         // Find a link carrying no scheduled message.
         let unused = (0..sr_topology::Topology::num_links(&topo))
             .map(LinkId)
-            .find(|&l| sched.link_busy_spans(l).is_empty())
+            .find(|l| !rows.contains_key(l))
             .expect("3-cube has spare links for a 2-message chain");
-        assert_eq!(sched.link_idle_windows(unused), vec![(0.0, 100.0)]);
-        assert_eq!(sched.link_idle_fraction(unused), 1.0);
+        let row = rows.get(&unused).map_or(&[][..], Vec::as_slice);
+        let idle = idle_windows(row, sched.period(), sched.guard_time());
+        assert_eq!(idle, vec![(0.0, 100.0)]);
     }
 
     #[test]
@@ -240,9 +217,10 @@ mod tests {
         assert_eq!(grant.path.destination(), NodeId(7));
         assert!((grant.end() - grant.duration - grant.start).abs() < 1e-12);
         // The granted span must lie inside every hop's idle windows.
+        let rows = sched.busy_spans();
         for l in grant.path.links(&topo) {
-            let ok = sched
-                .link_idle_windows(l)
+            let row = rows.get(&l).map_or(&[][..], Vec::as_slice);
+            let ok = idle_windows(row, sched.period(), sched.guard_time())
                 .iter()
                 .any(|&(s, e)| grant.start >= s - 1e-9 && grant.end() <= e + 1e-9);
             assert!(
@@ -315,12 +293,13 @@ mod tests {
         )
         .unwrap();
         // Pick a used link and compare idle totals.
-        let used = (0..sr_topology::Topology::num_links(&topo))
-            .map(LinkId)
-            .find(|&l| !plain.link_busy_spans(l).is_empty())
-            .unwrap();
+        let used = *plain.busy_spans().keys().next().unwrap();
         let idle = |s: &Schedule, l: LinkId| -> f64 {
-            s.link_idle_windows(l).iter().map(|(a, b)| b - a).sum()
+            let row = s.busy_spans().get(&l).cloned().unwrap_or_default();
+            idle_windows(&row, s.period(), s.guard_time())
+                .iter()
+                .map(|(a, b)| b - a)
+                .sum()
         };
         assert!(idle(&guarded, used) < idle(&plain, used) + 1e-9);
     }

@@ -116,10 +116,13 @@ impl Default for CompileConfig {
 
 /// A compiled communication schedule and every artifact that produced it.
 ///
-/// The schedule keeps its message segments; the node switching schedules
-/// `Ω` that ship to the communication processors are a pure function of
-/// the segments and the path assignment, derived on each call to
-/// [`Schedule::node_schedules`] and never stored.
+/// The schedule's timeline is its message segments, the only one it
+/// stores. The interval scheduling slices they were cut from live only
+/// inside [`compile`] and [`crate::pack_affected`]; the node switching
+/// schedules `Ω` that ship to the communication processors are a pure
+/// function of the segments and the path assignment, derived on each call
+/// to [`Schedule::node_schedules`]; each link's busy rows are derived by
+/// [`Schedule::busy_spans`].
 ///
 /// Produced by [`compile`]; replayable/checkable with [`crate::verify`].
 /// When compilation succeeds, the multicomputer sustains exactly one TFG
@@ -133,7 +136,6 @@ pub struct Schedule {
     pub(crate) intervals: Intervals,
     pub(crate) activity: ActivityMatrix,
     pub(crate) allocation: IntervalAllocation,
-    pub(crate) interval_schedules: Vec<IntervalSchedule>,
     pub(crate) segments: Vec<Segment>,
     pub(crate) num_nodes: usize,
     pub(crate) peak_utilization: f64,
@@ -202,11 +204,6 @@ impl Schedule {
         &self.allocation
     }
 
-    /// The per-interval link-feasible-set schedules.
-    pub fn interval_schedules(&self) -> &[IntervalSchedule] {
-        &self.interval_schedules
-    }
-
     /// Every message transmission segment, sorted by start time.
     pub fn segments(&self) -> &[Segment] {
         &self.segments
@@ -237,10 +234,11 @@ impl Schedule {
     ///
     /// This is the assembly step of incremental repair: after the affected
     /// messages have been re-routed (`assignment`), re-allocated
-    /// (`allocation`), and re-packed (`interval_schedules`), the segments
-    /// are re-derived and the peak utilization recomputed. Slices that were
-    /// kept verbatim produce bit-identical segments, so the `Ω` entries of
-    /// unaffected messages, derived from them on demand, do not move.
+    /// (`allocation`), and re-packed (`segments`, the new timeline from
+    /// [`crate::pack_affected`], sorted by start and then message), the
+    /// peak utilization is recomputed.
+    /// Segments that were kept verbatim keep the `Ω` entries of unaffected
+    /// messages, derived from them on demand, bit-identical.
     ///
     /// The caller is responsible for the artifacts' mutual consistency;
     /// run [`crate::verify`] (or [`crate::verify_with_faults`]) on the
@@ -249,10 +247,9 @@ impl Schedule {
         &self,
         assignment: PathAssignment,
         allocation: IntervalAllocation,
-        interval_schedules: Vec<IntervalSchedule>,
+        segments: Vec<Segment>,
         topo: &dyn Topology,
     ) -> Schedule {
-        let segments = segments_of(&interval_schedules);
         let peak_utilization = UtilizationMap::compute(
             &assignment,
             &self.bounds,
@@ -268,7 +265,6 @@ impl Schedule {
             intervals: self.intervals.clone(),
             activity: self.activity.clone(),
             allocation,
-            interval_schedules,
             segments,
             num_nodes: self.num_nodes,
             peak_utilization,
@@ -948,7 +944,6 @@ impl SearchCtx<'_> {
                             intervals: self.intervals.clone(),
                             activity: self.activity.clone(),
                             allocation,
-                            interval_schedules,
                             segments,
                             num_nodes: self.topo.num_nodes(),
                             capacity_scale: self.scales[si],
@@ -1413,7 +1408,7 @@ mod tests {
         let patched = sched.patched(
             sched.assignment.clone(),
             sched.allocation.clone(),
-            sched.interval_schedules.clone(),
+            sched.segments.clone(),
             &topo,
         );
         assert_eq!(patched.segments, sched.segments);

@@ -5,6 +5,8 @@ use sr_lp::LpError;
 use sr_tfg::{MessageId, TfgError};
 use sr_topology::LinkId;
 
+use crate::EPS;
+
 /// Why scheduled-routing compilation failed.
 ///
 /// Each variant corresponds to a stage of the Fig. 3 pipeline; the paper's
@@ -192,6 +194,18 @@ pub enum VerifyError {
         /// Start of the later segment, µs.
         at: f64,
     },
+    /// A segment is shorter than `EPS`. The link sweep compares each
+    /// segment with its start-order neighbour only, which is sound when
+    /// every segment is at least `EPS` long: a shorter one could hide a
+    /// guard violation between its own message and another.
+    ShortSegment {
+        /// The offending message.
+        message: MessageId,
+        /// Segment start, µs.
+        start: f64,
+        /// Segment end, µs.
+        end: f64,
+    },
     /// A segment lies (partly) outside the message's release/deadline spans.
     OutsideWindow {
         /// The offending message.
@@ -243,6 +257,14 @@ impl fmt::Display for VerifyError {
             VerifyError::SelfOverlap { message, at } => {
                 write!(f, "{message} overlaps its own transmission at t={at:.3} µs")
             }
+            VerifyError::ShortSegment {
+                message,
+                start,
+                end,
+            } => write!(
+                f,
+                "{message} segment [{start:.3}, {end:.3}] is shorter than the {EPS:e} µs tolerance"
+            ),
             VerifyError::OutsideWindow {
                 message,
                 start,
@@ -293,6 +315,15 @@ mod tests {
         assert_eq!(
             v.to_string(),
             "M3 overlaps its own transmission at t=2.500 µs"
+        );
+        let v = VerifyError::ShortSegment {
+            message: MessageId(1),
+            start: 4.0,
+            end: 4.0,
+        };
+        assert_eq!(
+            v.to_string(),
+            "M1 segment [4.000, 4.000] is shorter than the 1e-6 µs tolerance"
         );
     }
 

@@ -23,6 +23,7 @@
 
 use std::fmt::Write;
 
+use crate::buckets::{compact, Buckets};
 use crate::{Port, Schedule};
 
 fn port_str(p: Port) -> String {
@@ -57,6 +58,13 @@ impl Schedule {
         );
 
         s.push_str("\"messages\":[");
+        // Each message's segments, in segment order, gathered in one pass.
+        let of_message = self
+            .segments
+            .iter()
+            .enumerate()
+            .map(|(si, seg)| (seg.message.index(), compact(si)));
+        let own = Buckets::group(self.assignment.len(), of_message);
         for i in 0..self.assignment.len() {
             if i > 0 {
                 s.push(',');
@@ -69,10 +77,9 @@ impl Schedule {
                 .iter()
                 .map(|n| n.index().to_string())
                 .collect();
-            let segs: Vec<String> = self
-                .segments
+            let segs: Vec<String> = own.items[own.range(i)]
                 .iter()
-                .filter(|seg| seg.message == m)
+                .map(|&si| &self.segments[si as usize])
                 .map(|seg| format!("[{},{}]", num(seg.start), num(seg.end)))
                 .collect();
             let _ = write!(

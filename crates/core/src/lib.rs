@@ -122,7 +122,7 @@ pub use intervals::{ActivityMatrix, Intervals};
 pub use optimize::{co_design, find_min_period, CoDesignResult, MinPeriodResult};
 pub use peak_bound::{BoundFloor, PeakCertificate};
 pub use repack::{
-    free_within, intersect, pack_affected, reallocate_pinned, ReallocAttempt,
+    cmp_span, coalesce, free_within, intersect, pack_affected, reallocate_pinned, ReallocAttempt,
     ReallocAttemptOutcome, Repacked,
 };
 pub use replay::replay_events;

@@ -8,7 +8,8 @@ use std::fmt::Write;
 
 use sr_topology::{LinkId, Topology};
 
-use crate::Schedule;
+use crate::buckets::{compact, Buckets};
+use crate::{Schedule, Segment};
 
 impl Schedule {
     /// Renders one link's frame as an ASCII timeline of `width` cells:
@@ -24,14 +25,18 @@ impl Schedule {
     ///
     /// Panics if `width == 0`.
     pub fn render_link_timeline(&self, link: LinkId, width: usize) -> String {
+        let on_link = |seg: &&Segment| self.assignment.links(seg.message).contains(&link);
+        self.paint(self.segments.iter().filter(on_link), width)
+    }
+
+    /// One timeline row of `width` cells painted with `segments`, as
+    /// [`Schedule::render_link_timeline`] describes.
+    fn paint<'a>(&self, segments: impl Iterator<Item = &'a Segment>, width: usize) -> String {
         assert!(width > 0, "timeline needs at least one cell");
         let mut cells: Vec<Option<usize>> = vec![None; width];
         let mut shared = vec![false; width];
         let scale = self.period / width as f64;
-        for seg in &self.segments {
-            if !self.assignment.links(seg.message).contains(&link) {
-                continue;
-            }
+        for seg in segments {
             let a = ((seg.start / scale).floor().max(0.0) as usize).min(width - 1);
             let b = ((seg.end / scale).ceil() as usize).clamp(a + 1, width.max(a + 1));
             let m = seg.message.index();
@@ -72,9 +77,16 @@ impl Schedule {
             format!("{:.1} µs", self.period),
             w = width.saturating_sub(4)
         );
+        // Each link's segments, gathered in one pass over the segments.
+        let on_links = self.segments.iter().enumerate().flat_map(|(si, seg)| {
+            let links = self.assignment.links(seg.message).iter();
+            links.map(move |l| (l.index(), compact(si)))
+        });
+        let timelines = Buckets::group(topo.num_links(), on_links);
         for l in 0..topo.num_links() {
             let link = LinkId(l);
-            let row = self.render_link_timeline(link, width);
+            let segments = timelines.items[timelines.range(l)].iter();
+            let row = self.paint(segments.map(|&si| &self.segments[si as usize]), width);
             if row.chars().all(|c| c == '.') {
                 continue;
             }
@@ -112,11 +124,13 @@ mod tests {
     #[test]
     fn busy_cells_match_busy_time() {
         let (topo, s) = compiled();
+        let rows = s.busy_spans();
         for l in 0..sr_topology::Topology::num_links(&topo) {
             let link = LinkId(l);
             let row = s.render_link_timeline(link, 100);
             let busy_cells = row.chars().filter(|&c| c != '.').count();
-            let busy_time: f64 = s.link_busy_spans(link).iter().map(|(a, b)| b - a).sum();
+            let busy = rows.get(&link).map_or(&[][..], Vec::as_slice);
+            let busy_time: f64 = busy.iter().map(|(a, b)| b - a).sum();
             // 100 cells over a 100 µs frame: 1 cell ≈ 1 µs, ±2 for rounding.
             assert!(
                 (busy_cells as f64 - busy_time).abs() <= 2.0,

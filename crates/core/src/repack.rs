@@ -23,7 +23,7 @@ use sr_topology::LinkId;
 use crate::{
     allocate_intervals_pinned_reserved, allocate_intervals_pinned_reserved_flow, related_subsets,
     AllocBasisCache, AllocEngine, AllocationStats, CompileError, FlowAllocStats, FlowWorkspace,
-    IntervalAllocation, IntervalSchedule, PathAssignment, Schedule, Slice, EPS,
+    IntervalAllocation, PathAssignment, Schedule, Segment, EPS,
 };
 
 /// How one scale rung of [`reallocate_pinned`] ended.
@@ -53,9 +53,10 @@ pub struct Repacked {
     /// The full allocation matrix: pinned rows bit-identical, affected rows
     /// re-derived.
     pub allocation: IntervalAllocation,
-    /// Interval schedules with the retained slices verbatim and the
-    /// affected traffic packed into idle time.
-    pub interval_schedules: Vec<IntervalSchedule>,
+    /// The new timeline ([`pack_affected`]): the retained segments as they
+    /// were and the affected traffic packed into idle time, sorted by start
+    /// and then message.
+    pub segments: Vec<Segment>,
     /// The capacity scale that succeeded.
     pub scale: f64,
 }
@@ -63,12 +64,12 @@ pub struct Repacked {
 /// Walks the capacity-scale ladder for an incremental re-allocation: at
 /// each scale, re-solve the `affected` messages' rows with every other row
 /// of `schedule` pinned ([`allocate_intervals_pinned_reserved`]), then pack
-/// the re-derived rows into the idle time left by the retained slices and
+/// the re-derived rows into the idle time left by the retained segments and
 /// `external_busy` ([`pack_affected`]). The first packable scale wins.
 ///
 /// `assignment` is the (possibly re-routed) path assignment the new rows
-/// are derived for; `excluded` messages contribute neither retained slices
-/// nor new traffic (dropped/demoted messages with trivial paths).
+/// are derived for; `excluded` messages contribute neither retained
+/// segments nor new traffic (dropped/demoted messages with trivial paths).
 /// `external_busy` spans additionally reduce both the LP capacities (by
 /// interval overlap) and the packable free time; an empty map reproduces
 /// the fault-repair behaviour exactly.
@@ -206,7 +207,7 @@ pub fn reallocate_pinned(
                 continue;
             }
         };
-        if let Some(interval_schedules) = pack_affected(
+        if let Some(segments) = pack_affected(
             schedule,
             assignment,
             &allocation,
@@ -220,7 +221,7 @@ pub fn reallocate_pinned(
             });
             return Some(Repacked {
                 allocation,
-                interval_schedules,
+                segments,
                 scale,
             });
         }
@@ -234,15 +235,18 @@ pub fn reallocate_pinned(
 }
 
 /// Packs the affected messages' allocations into the idle time the
-/// retained slices and `external_busy` leave on their links, earliest-fit
-/// with preemption.
+/// retained segments and `external_busy` leave on their links, earliest-fit
+/// with preemption, and returns the new timeline.
 ///
-/// Every slice of the original schedule survives verbatim with the
-/// affected/excluded messages filtered out of its member set (so retained
-/// messages' segments are bit-identical); the affected traffic is placed
-/// into per-link free spans separated from existing traffic by the
-/// schedule's guard time. `None` when some message's allocation does not
-/// fit — the caller then tightens the allocation scale.
+/// Every segment of the original schedule whose message is neither affected
+/// nor excluded survives as it is (so retained messages' segments are
+/// bit-identical); the affected traffic is placed into per-link free spans
+/// separated from existing traffic by the schedule's guard time, one
+/// segment per placed chunk — the one-message slices of this packing,
+/// which live only here. The result is sorted by start and then message,
+/// as [`crate::segments_of`] sorts. `None` when some message's
+/// allocation does not fit — the caller then tightens the allocation
+/// scale.
 pub fn pack_affected(
     schedule: &Schedule,
     assignment: &PathAssignment,
@@ -250,7 +254,7 @@ pub fn pack_affected(
     affected: &[MessageId],
     excluded: &BTreeSet<MessageId>,
     external_busy: &BTreeMap<LinkId, Vec<(f64, f64)>>,
-) -> Option<Vec<IntervalSchedule>> {
+) -> Option<Vec<Segment>> {
     let intervals = schedule.intervals();
     let guard = schedule.guard_time();
     let moved: BTreeSet<MessageId> = affected
@@ -259,38 +263,22 @@ pub fn pack_affected(
         .chain(excluded.iter().copied())
         .collect();
 
-    // Retained slices per interval, with moved messages filtered out.
-    let mut per_interval: Vec<Vec<Slice>> = vec![Vec::new(); intervals.len()];
-    for is in schedule.interval_schedules() {
-        for slice in &is.slices {
-            let members: Vec<MessageId> = slice
-                .messages
-                .iter()
-                .copied()
-                .filter(|m| !moved.contains(m))
-                .collect();
-            if !members.is_empty() {
-                per_interval[is.interval].push(Slice {
-                    messages: members,
-                    start: slice.start,
-                    duration: slice.duration,
-                });
-            }
-        }
-    }
+    // Retained segments, moved messages filtered out.
+    let mut segments: Vec<Segment> = schedule
+        .segments()
+        .iter()
+        .filter(|seg| !moved.contains(&seg.message))
+        .copied()
+        .collect();
 
-    // Busy spans per link: the external ledger, plus the retained slices.
+    // Busy spans per link: the external ledger, plus the retained segments.
     let mut busy: HashMap<LinkId, Vec<(f64, f64)>> = external_busy
         .iter()
         .map(|(&l, spans)| (l, spans.clone()))
         .collect();
-    for slices in &per_interval {
-        for slice in slices {
-            for &m in &slice.messages {
-                for &l in assignment.links(m) {
-                    busy.entry(l).or_default().push((slice.start, slice.end()));
-                }
-            }
+    for seg in &segments {
+        for &l in assignment.links(seg.message) {
+            busy.entry(l).or_default().push((seg.start, seg.end));
         }
     }
 
@@ -298,7 +286,7 @@ pub fn pack_affected(
     ordered.sort_unstable();
     for &m in &ordered {
         let links = assignment.links(m);
-        for (k, interval_slices) in per_interval.iter_mut().enumerate() {
+        for k in 0..intervals.len() {
             let mut need = allocation.allocated(m, k);
             if need <= EPS {
                 continue;
@@ -312,7 +300,7 @@ pub fn pack_affected(
                     break;
                 }
             }
-            let mut placed: Vec<Slice> = Vec::new();
+            let placed_from = segments.len();
             for &(s, e) in &free {
                 if need <= EPS {
                     break;
@@ -321,40 +309,30 @@ pub fn pack_affected(
                 if chunk <= EPS {
                     continue;
                 }
-                placed.push(Slice {
-                    messages: vec![m],
+                segments.push(Segment {
+                    message: m,
                     start: s,
-                    duration: chunk,
+                    end: s + chunk,
                 });
                 need -= chunk;
             }
             if need > EPS {
                 return None; // does not fit at this allocation scale
             }
-            for slice in placed {
+            for seg in &segments[placed_from..] {
                 for &l in links {
-                    busy.entry(l).or_default().push((slice.start, slice.end()));
+                    busy.entry(l).or_default().push((seg.start, seg.end));
                 }
-                interval_slices.push(slice);
             }
         }
     }
 
-    Some(
-        per_interval
-            .into_iter()
-            .enumerate()
-            .filter(|(_, slices)| !slices.is_empty())
-            .map(|(interval, mut slices)| {
-                slices.sort_by(|x, y| {
-                    x.start
-                        .total_cmp(&y.start)
-                        .then_with(|| x.messages.cmp(&y.messages))
-                });
-                IntervalSchedule { interval, slices }
-            })
-            .collect(),
-    )
+    segments.sort_by(|x, y| {
+        x.start
+            .total_cmp(&y.start)
+            .then_with(|| x.message.cmp(&y.message))
+    });
+    Some(segments)
 }
 
 /// The sub-spans of `[a, b]` at least `guard` away from every busy span.
@@ -383,6 +361,24 @@ pub fn free_within(busy: &mut [(f64, f64)], a: f64, b: f64, guard: f64) -> Vec<(
         out.push((cursor, b));
     }
     out
+}
+
+/// The order of a busy row: by start, then end, bit-exact.
+pub fn cmp_span(a: &(f64, f64), b: &(f64, f64)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1))
+}
+
+/// Merges overlapping or abutting (to within `EPS`) spans of a list sorted
+/// by start, in place.
+pub fn coalesce(spans: &mut Vec<(f64, f64)>) {
+    let mut out: Vec<(f64, f64)> = Vec::with_capacity(spans.len());
+    for &(s, e) in spans.iter() {
+        match out.last_mut() {
+            Some(last) if s <= last.1 + EPS => last.1 = last.1.max(e),
+            _ => out.push((s, e)),
+        }
+    }
+    *spans = out;
 }
 
 /// Intersects two ascending disjoint span lists.

@@ -1,7 +1,7 @@
 //! Aggregate statistics of a compiled schedule — the numbers a deployment
 //! report or regression dashboard wants at a glance.
 
-use sr_topology::{LinkId, Topology};
+use sr_topology::LinkId;
 
 use crate::switching::Omega;
 use crate::Schedule;
@@ -32,9 +32,9 @@ pub struct ScheduleSummary {
 }
 
 impl Schedule {
-    /// Computes the summary against the topology the schedule was compiled
-    /// for.
-    pub fn summary(&self, topo: &dyn Topology) -> ScheduleSummary {
+    /// Computes the summary; a link counts as busy when its row in
+    /// [`Schedule::busy_spans`] covers a positive time.
+    pub fn summary(&self) -> ScheduleSummary {
         let omega = Omega::derive(&self.segments, &self.assignment, self.num_nodes);
         let sizes = (0..self.num_nodes).map(|n| omega.commands(n).len());
         let commands = sizes.clone().sum();
@@ -43,9 +43,8 @@ impl Schedule {
         let mut busiest: Option<(LinkId, f64)> = None;
         let mut busy_links = 0;
         let mut busy_total = 0.0;
-        for l in 0..topo.num_links() {
-            let link = LinkId(l);
-            let busy: f64 = self.link_busy_spans(link).iter().map(|(a, b)| b - a).sum();
+        for (link, row) in self.busy_spans() {
+            let busy: f64 = row.iter().map(|(a, b)| b - a).sum();
             if busy <= 0.0 {
                 continue;
             }
@@ -103,7 +102,7 @@ mod tests {
             &CompileConfig::default(),
         )
         .expect("compiles");
-        let sum = s.summary(&topo);
+        let sum = s.summary();
 
         assert_eq!(sum.period, 80.0);
         assert_eq!(sum.segments, s.segments().len());
@@ -116,7 +115,7 @@ mod tests {
         let (busiest, frac) = sum.busiest_link.expect("network traffic exists");
         assert!((0.0..=1.0 + 1e-9).contains(&frac));
         assert!(frac >= sum.mean_busy_fraction - 1e-12);
-        assert!(!s.link_busy_spans(busiest).is_empty());
+        assert!(!s.busy_spans()[&busiest].is_empty());
         assert!(sum.max_preemptions >= 1);
     }
 
@@ -138,7 +137,7 @@ mod tests {
             &CompileConfig::default(),
         )
         .expect("local-only compiles");
-        let sum = s.summary(&topo);
+        let sum = s.summary();
         assert_eq!(sum.segments, 0);
         assert_eq!(sum.busy_links, 0);
         assert_eq!(sum.busiest_link, None);

@@ -156,9 +156,11 @@ fn check_windows(schedule: &Schedule) -> Result<(), VerifyError> {
 }
 
 /// No message overlaps itself: among one message's segments in start order,
-/// none starts more than `EPS` before its predecessor ends. A touching
-/// continuation (one segment ending where the next begins) passes. Without
-/// this a message could be complete by counting the same time twice.
+/// none is shorter than `EPS` and none starts more than `EPS` before its
+/// predecessor ends. A touching continuation (one segment ending where the
+/// next begins) passes. Without this a message could be complete by
+/// counting the same time twice, and a sub-`EPS` segment could hide a
+/// guard violation from the link sweep.
 fn check_self_overlap(schedule: &Schedule) -> Result<(), VerifyError> {
     let segments = &schedule.segments;
     let of_message = segments
@@ -171,6 +173,14 @@ fn check_self_overlap(schedule: &Schedule) -> Result<(), VerifyError> {
         let range = own.range(message);
         let mine = &mut own.items[range];
         mine.sort_by(|&a, &b| span(a).start.total_cmp(&span(b).start));
+        if let Some(&si) = mine.iter().find(|&&si| span(si).duration() < EPS) {
+            let seg = span(si);
+            return Err(VerifyError::ShortSegment {
+                message: seg.message,
+                start: seg.start,
+                end: seg.end,
+            });
+        }
         let overlap = |w: &&[u32]| span(w[1]).start < span(w[0]).end - EPS;
         if let Some(w) = mine.windows(2).find(overlap) {
             return Err(VerifyError::SelfOverlap {
@@ -193,11 +203,9 @@ fn check_self_overlap(schedule: &Schedule) -> Result<(), VerifyError> {
 /// and they are neighbours. If it is, `z` starts no more than `EPS` before
 /// `x` ends, and `y` no earlier than `z`. Without a guard, `y` then clears
 /// `x`: there was no clash. With one, the argument needs `z` to end no
-/// earlier than `x`, which holds when `z` is at least `EPS` long; then `z`
-/// and `y` clash at least as much, and the argument repeats from `z`, one
-/// step nearer `y`. Nothing checks that length, so the sweep is sound only
-/// up to that: a segment shorter than `EPS` can hide a guard violation of
-/// `x` and `y`, though never an overlap.
+/// earlier than `x`, which holds because `check_self_overlap` has rejected
+/// every segment shorter than `EPS`; then `z` and `y` clash at least as
+/// much, and the argument repeats from `z`, one step nearer `y`.
 fn check_link_contention(schedule: &Schedule, num_links: usize) -> Result<(), VerifyError> {
     let segments = &schedule.segments;
     // Expand segments onto their links: a link's bucket is its timeline.
@@ -611,8 +619,8 @@ mod tests {
             Ok(())
         }
 
-        /// Every pair of one message's segments, the later in start order
-        /// against each before it.
+        /// Every one of a message's segments for its length, then every
+        /// pair, the later in start order against each before it.
         fn check_self_overlap(schedule: &Schedule) -> Result<(), VerifyError> {
             for i in 0..schedule.assignment.len() {
                 let m = MessageId(i);
@@ -622,6 +630,13 @@ mod tests {
                     .filter(|s| s.message == m)
                     .collect();
                 own.sort_by(|a, b| a.start.total_cmp(&b.start));
+                if let Some(short) = own.iter().find(|s| s.end - s.start < EPS) {
+                    return Err(VerifyError::ShortSegment {
+                        message: m,
+                        start: short.start,
+                        end: short.end,
+                    });
+                }
                 for (j, later) in own.iter().enumerate() {
                     if own[..j]
                         .iter()
@@ -1176,6 +1191,66 @@ mod tests {
         ));
     }
 
+    /// The sub-`EPS` trap: with a 1 µs guard on the one link, M0 holds
+    /// `[w, w + 10]` and a sliver ending just before it does, and M1 starts
+    /// 1.3 ns short of a guard after `w + 10` — a guard violation, but M1's
+    /// start-order neighbour is the sliver, which it clears. Every other
+    /// check passes it (as the whole of `verify` did while nothing bounded
+    /// a segment's length); the self-overlap check refuses the sliver.
+    #[test]
+    fn a_guard_clash_hidden_behind_a_sub_eps_neighbour_is_a_short_segment() {
+        let topo = GeneralizedHypercube::binary(1).unwrap();
+        let mut b = TfgBuilder::new();
+        let t0 = b.task("t0", 200);
+        let t1 = b.task("t1", 200);
+        let t2 = b.task("t2", 200);
+        b.message("m0", t0, t1, 640).unwrap();
+        b.message("m1", t0, t2, 320).unwrap();
+        let tfg = b.build().unwrap();
+        let placement = [0, 1, 1].map(NodeId).to_vec();
+        let alloc = sr_mapping::Allocation::new(placement, &tfg, &topo).unwrap();
+        let config = CompileConfig {
+            guard_time: 1.0,
+            ..CompileConfig::default()
+        };
+        let timing = Timing::new(64.0, 10.0);
+        let mut sched = compile(&topo, &tfg, &alloc, &timing, 100.0, &config)
+            .expect("10 + 5 µs and two guards fit the 20 µs windows");
+        let w = sched.bounds.window(MessageId(0)).spans()[0].0;
+        assert_eq!(sched.bounds.window(MessageId(1)).spans()[0].0, w);
+        let segment = |message, start: f64, end: f64| Segment {
+            message: MessageId(message),
+            start: w + start,
+            end: w + end,
+        };
+        let sliver = segment(0, 10.0 - 0.9e-6, 10.0 - 0.5e-6);
+        sched.segments = vec![
+            segment(0, 0.0, 10.0),
+            sliver,
+            segment(1, 11.0 - 1.3e-6, 16.0 - 1.3e-6),
+        ];
+        let derived = sched.node_schedules();
+        assert_eq!(check_paths(&sched, &topo), Ok(()));
+        assert_eq!(check_completeness(&sched, &tfg), Ok(()));
+        assert_eq!(check_windows(&sched), Ok(()));
+        assert_eq!(check_link_contention(&sched, topo.num_links()), Ok(()));
+        assert_eq!(reference::check_link_contention(&sched), Ok(()));
+        assert_eq!(check_commands(&sched, held(&derived)), Ok(()));
+        let expected = Err(VerifyError::ShortSegment {
+            message: MessageId(0),
+            start: sliver.start,
+            end: sliver.end,
+        });
+        assert_eq!(verify(&sched, &topo, &tfg), expected);
+        assert_eq!(reference::verify(&sched, &derived, &tfg), expected);
+        // Without the sliver the clash is between neighbours.
+        sched.segments.remove(1);
+        assert!(matches!(
+            verify(&sched, &topo, &tfg),
+            Err(VerifyError::LinkContention { .. })
+        ));
+    }
+
     /// A message between two tasks on one node has a one-node path, no link
     /// row, no segments and no commands — and nothing to answer for, even
     /// when a stray segment is booked under its id. The `Ω` derived from
@@ -1239,7 +1314,6 @@ mod tests {
             segments: crate::segments_of(&interval_schedules),
             assignment,
             allocation,
-            interval_schedules,
             ..clean.clone()
         }
     }

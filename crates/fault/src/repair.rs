@@ -546,14 +546,7 @@ fn try_repair(
             });
         }
     }
-    repacked.map(|r| {
-        schedule.patched(
-            outcome.assignment.clone(),
-            r.allocation,
-            r.interval_schedules,
-            masked,
-        )
-    })
+    repacked.map(|r| schedule.patched(outcome.assignment.clone(), r.allocation, r.segments, masked))
 }
 
 #[cfg(test)]

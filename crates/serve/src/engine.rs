@@ -57,8 +57,8 @@ use std::sync::Arc;
 
 use crate::audit::{row_digest, spans_hash};
 use sr_core::{
-    assign_paths_partial, compile_diagnosed, free_within, intersect, reallocate_pinned,
-    AllocBasisCache, CompileConfig, FlowWorkspace, Schedule, EPS,
+    assign_paths_partial, cmp_span, coalesce, compile_diagnosed, free_within, intersect,
+    reallocate_pinned, AllocBasisCache, CompileConfig, FlowWorkspace, Schedule, EPS,
 };
 use sr_mapping::Allocation;
 use sr_obs::{span_with, Recorder};
@@ -595,7 +595,7 @@ impl Engine {
 
         // Rung 1: fast path — the standalone schedule fits verbatim.
         if let Some(sched) = entry.schedule.clone() {
-            let spans = spans_of_schedule(&sched);
+            let spans = sched.busy_spans();
             let fits_verbatim = fits(&spans, ledger, guard);
             timer.lap("fast");
             if fits_verbatim {
@@ -641,10 +641,10 @@ impl Engine {
                 let patched = sched.patched(
                     sched.assignment().clone(),
                     rp.allocation,
-                    rp.interval_schedules,
+                    rp.segments,
                     self.topo.as_ref(),
                 );
-                let spans = spans_of_schedule(&patched);
+                let spans = patched.busy_spans();
                 let tenant = Tenant {
                     name: spec.name.clone(),
                     seq: self.admit_seq,
@@ -664,7 +664,7 @@ impl Engine {
             timer.lap("reroute");
             if let Some((rerouted, scale)) = rerouted {
                 rec.add("serve.admit.rerouted", 1);
-                let spans = spans_of_schedule(&rerouted);
+                let spans = rerouted.busy_spans();
                 let entry = self.memo.get(&spec.name).expect("memoized above");
                 let tenant = Tenant {
                     name: spec.name.clone(),
@@ -851,7 +851,7 @@ impl Engine {
         // grants; the cross-tenant sweep below still covers them.)
         for t in self.tenants.values() {
             if let Some(s) = &t.schedule {
-                if spans_of_schedule(s) != t.spans {
+                if s.busy_spans() != t.spans {
                     return Err(format!(
                         "tenant \"{}\" spans diverge from its schedule",
                         t.name
@@ -1029,12 +1029,12 @@ impl Engine {
     /// span to the latest end of any other owner rather than to its
     /// start-order neighbour: the two differ only on a tenant whose own
     /// spans on a link overlap, and every tenant the engine installs has
-    /// coalesced rows (`spans_of_schedule` and the best-effort rung both
-    /// coalesce), so every maintained row stays sorted with each span
+    /// coalesced rows ([`Schedule::busy_spans`] and the best-effort rung
+    /// both coalesce), so every maintained row stays sorted with each span
     /// clearing the next.
     fn check_arrival(&self, tenant: &Tenant) -> Result<(), String> {
         if let Some(s) = &tenant.schedule {
-            if spans_of_schedule(s) != tenant.spans {
+            if s.busy_spans() != tenant.spans {
                 return Err(format!(
                     "tenant \"{}\" spans diverge from its schedule",
                     tenant.name
@@ -1217,7 +1217,7 @@ impl Engine {
             sched.patched(
                 outcome.assignment.clone(),
                 rp.allocation,
-                rp.interval_schedules,
+                rp.segments,
                 self.topo.as_ref(),
             ),
             rp.scale,
@@ -1299,28 +1299,6 @@ impl Engine {
     }
 }
 
-/// The per-link occupancy of a schedule: for every segment, its span on
-/// every link of the message's path (the paper's circuit model — a slice
-/// occupies all links of the path simultaneously). Sorted and coalesced.
-pub fn spans_of_schedule(sched: &Schedule) -> BTreeMap<LinkId, Vec<(f64, f64)>> {
-    let mut out: BTreeMap<LinkId, Vec<(f64, f64)>> = BTreeMap::new();
-    for seg in sched.segments() {
-        for &l in sched.assignment().links(seg.message) {
-            out.entry(l).or_default().push((seg.start, seg.end));
-        }
-    }
-    for spans in out.values_mut() {
-        spans.sort_by(cmp_span);
-        coalesce(spans);
-    }
-    out
-}
-
-/// The order of a ledger row: by start, then end, bit-exact.
-fn cmp_span(a: &(f64, f64), b: &(f64, f64)) -> std::cmp::Ordering {
-    a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1))
-}
-
 /// Where each of `spans` (ascending) sits in `row`, bit-exact and each at
 /// its own index; `None` when one is missing.
 fn locate(row: &[(f64, f64)], spans: &[(f64, f64)]) -> Option<Vec<usize>> {
@@ -1344,18 +1322,6 @@ fn linked_messages(sched: &Schedule) -> Vec<MessageId> {
         .map(MessageId)
         .filter(|&m| !sched.assignment().links(m).is_empty())
         .collect()
-}
-
-/// Merges overlapping or abutting sorted spans in place.
-fn coalesce(spans: &mut Vec<(f64, f64)>) {
-    let mut out: Vec<(f64, f64)> = Vec::with_capacity(spans.len());
-    for &(s, e) in spans.iter() {
-        match out.last_mut() {
-            Some(last) if s <= last.1 + EPS => last.1 = last.1.max(e),
-            _ => out.push((s, e)),
-        }
-    }
-    *spans = out;
 }
 
 /// Whether `spans` fit into the idle time `ledger` leaves, every span at

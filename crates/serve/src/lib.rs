@@ -54,8 +54,8 @@ pub use audit::{
 };
 pub use daemon::{read_frame, write_frame, Daemon, FrameRead, MAX_FRAME};
 pub use engine::{
-    spans_of_schedule, AdmitError, AdmitReport, AdmitRung, Engine, EvictError, Grant, Placement,
-    Rejection, ServeConfig, Tenant, TenantSpec,
+    AdmitError, AdmitReport, AdmitRung, Engine, EvictError, Grant, Placement, Rejection,
+    ServeConfig, Tenant, TenantSpec,
 };
 pub use error::{ErrorKind, ServeError};
 pub use http::OpsState;

@@ -36,8 +36,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // How much capacity is left?
     println!("link idle fractions (busiest first):");
+    let busy = schedule.busy_spans();
+    let busy_time = |l: &LinkId| -> f64 {
+        let row = busy.get(l).map_or(&[][..], Vec::as_slice);
+        row.iter().map(|(s, e)| e - s).sum()
+    };
     let mut idle: Vec<(LinkId, f64)> = (0..cube.num_links())
-        .map(|l| (LinkId(l), schedule.link_idle_fraction(LinkId(l))))
+        .map(|l| (LinkId(l), 1.0 - busy_time(&LinkId(l)) / period))
         .collect();
     idle.sort_by(|a, b| a.1.total_cmp(&b.1));
     for (l, f) in idle.iter().take(5) {

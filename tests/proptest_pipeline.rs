@@ -30,6 +30,28 @@ fn build(spec: &TopoSpec) -> Box<dyn Topology> {
     }
 }
 
+/// A link's busy row as it was derived before `Schedule::busy_spans`: the
+/// spans of every segment whose message crosses `link`, sorted by start
+/// and merged to within `EPS` — one filter over every segment per link,
+/// the reference the one-pass derivation is held to.
+fn link_busy_spans_reference(s: &Schedule, link: LinkId) -> Vec<(f64, f64)> {
+    let mut spans: Vec<(f64, f64)> = s
+        .segments()
+        .iter()
+        .filter(|seg| s.assignment().links(seg.message).contains(&link))
+        .map(|seg| (seg.start, seg.end))
+        .collect();
+    spans.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut merged: Vec<(f64, f64)> = Vec::with_capacity(spans.len());
+    for (start, end) in spans {
+        match merged.last_mut() {
+            Some(last) if start <= last.1 + sr::core::EPS => last.1 = last.1.max(end),
+            _ => merged.push((start, end)),
+        }
+    }
+    merged
+}
+
 fn tfg_params() -> impl Strategy<Value = LayeredParams> {
     (2usize..4, 1usize..4, 0.2f64..0.9).prop_map(|(layers, width, p)| LayeredParams {
         layers,
@@ -74,6 +96,40 @@ proptest! {
                 | CompileError::TimeBounds(sr::tfg::TfgError::MessageExceedsPeriod { .. }),
             ) => {}
             Err(e) => return Err(TestCaseError::fail(format!("unexpected error: {e}"))),
+        }
+    }
+
+    /// Every link's row of `busy_spans`, derived in one pass, equals the
+    /// per-link filter bit for bit, without a guard and with one; a link
+    /// without traffic has no row.
+    #[test]
+    fn busy_spans_equal_the_per_link_filter(
+        spec in topo_spec(),
+        seed in any::<u64>(),
+        params in tfg_params(),
+        load in 0.2f64..1.0,
+        alloc_seed in any::<u64>(),
+        guard_time in prop_oneof![Just(0.0), Just(1.5)],
+    ) {
+        let topo = build(&spec);
+        let tfg = layered_random(seed, &params);
+        let timing = Timing::new(64.0, 20.0);
+        let alloc = sr::mapping::random(&tfg, topo.as_ref(), alloc_seed);
+        let period = timing.longest_task(&tfg) / load;
+        let config = CompileConfig { guard_time, ..CompileConfig::default() };
+
+        if let Ok(s) = compile(topo.as_ref(), &tfg, &alloc, &timing, period, &config) {
+            let rows = s.busy_spans();
+            for l in 0..topo.num_links() {
+                let link = LinkId(l);
+                let want = link_busy_spans_reference(&s, link);
+                let got = rows.get(&link).cloned().unwrap_or_default();
+                let bits = |row: &[(f64, f64)]| -> Vec<(u64, u64)> {
+                    row.iter().map(|(a, b)| (a.to_bits(), b.to_bits())).collect()
+                };
+                prop_assert_eq!(bits(&got), bits(&want), "link {}", link);
+                prop_assert_eq!(rows.contains_key(&link), !want.is_empty());
+            }
         }
     }
 
